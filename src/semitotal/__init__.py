@@ -7,6 +7,7 @@ from .errors import (
     Infeasible,
     InvalidEdge,
     InvalidInstance,
+    InvalidSetting,
     NotInSet,
     ParseError,
     PatternTooLarge,
@@ -42,6 +43,7 @@ from .domination import (
     all_min_sds_independent,
     enumerate_min_sets,
     exists_within,
+    feasible_sets,
     is_feasible,
     solve,
     solve_by_enumeration,

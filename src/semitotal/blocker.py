@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
 
 from .errors import FloorError, Infeasible, ScaleLimit
 from .graphs import (
@@ -22,6 +21,7 @@ from .graphs import (
     _bits,
     contains_subgraph,
     contract_edges,
+    inner_degrees,
     is_connected,
     normalize_edge,
     path_graph,
@@ -31,10 +31,9 @@ from .patterns import parse_pattern
 from .domination import (
     DominationKind,
     _Instance,
-    _feasible_mask,
-    _set_mask,
-    enumerate_min_sets,
     exists_within,
+    feasible_sets,
+    is_feasible,
     search_budget,
     solve,
     solve_by_enumeration,
@@ -79,7 +78,7 @@ def ct_exact(
     base = _exact_value(g, kind)
     if base <= _FLOOR[kind]:
         return None
-    cap = budget or search_budget()
+    cap = search_budget() if budget is None else budget
     edges = sorted(g.edges())
     visited = 0
     for k in range(1, kmax + 1):
@@ -123,10 +122,11 @@ def min_sds_has_friendly_triple(
     g: Graph, *, budget: int | None = None
 ) -> tuple[frozenset[int], tuple[int, int, int]] | None:
     """First minimum semitotal dominating set carrying a friendly triple."""
-    for d in enumerate_min_sets(g, DominationKind.SEMITOTAL, budget=budget):
+    value = solve(g, DominationKind.SEMITOTAL, budget=budget).value
+    for d in feasible_sets(g, DominationKind.SEMITOTAL, value, budget=budget):
         triple = has_friendly_triple(g, d)
         if triple is not None:
-            return d, triple
+            return frozenset(d), triple
     return None
 
 
@@ -274,17 +274,10 @@ def exists_plus1_sds_with_config(
 ) -> tuple[frozenset[int], ConfigMatch] | None:
     """Search all semitotal dominating sets of size value+1 for a config."""
     value = _exact_value(g, DominationKind.SEMITOTAL)
-    k = value + 1
-    cap = budget or search_budget()
-    if comb(g.n, k) > cap:
-        raise ScaleLimit(f"C({g.n},{k}) exceeds the {cap} subset budget")
-    inst = _Instance(g)
-    for combo in combinations(range(g.n), k):
-        if not _feasible_mask(inst, DominationKind.SEMITOTAL, _set_mask(combo)):
-            continue
-        hit = match_st_configuration(g, combo)
+    for s in feasible_sets(g, DominationKind.SEMITOTAL, value + 1, budget=budget):
+        hit = match_st_configuration(g, s)
         if hit is not None:
-            return frozenset(combo), hit
+            return frozenset(s), hit
     return None
 
 
@@ -315,7 +308,7 @@ def path_contraction_certificate(g: Graph, *, budget: int | None = None) -> Cont
     value = _exact_value(g, DominationKind.SEMITOTAL)
     if value < 3:
         raise FloorError(f"needs value >= 3, got {value}")
-    d = sorted(enumerate_min_sets(g, DominationKind.SEMITOTAL, budget=budget)[0])
+    d = next(feasible_sets(g, DominationKind.SEMITOTAL, value, budget=budget))
     inst = _Instance(g)
     pair = next(
         (u, v)
@@ -387,13 +380,12 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
         if verdict.k != 1 or verdict.sds is None or verdict.triple is None:
             return False
         x, y, z = verdict.triple
-        inst = _Instance(g)
         if not (
             len(verdict.sds) == value
-            and _feasible_mask(inst, DominationKind.SEMITOTAL, _set_mask(verdict.sds))
+            and is_feasible(g, DominationKind.SEMITOTAL, verdict.sds)
             and {x, y, z} <= set(verdict.sds)
             and g.has_edge(x, y)
-            and inst.ball2open[y] >> z & 1
+            and _Instance(g).ball2open[y] >> z & 1
         ):
             return False
         contracted, _ = contract_edges(g, [(x, y)])
@@ -401,12 +393,11 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
     if verdict.mechanism is CtMechanism.ST_CONFIGURATION:
         if verdict.k != 2 or verdict.sds is None or verdict.match is None:
             return False
-        inst = _Instance(g)
         if len(verdict.sds) != value + 1:
             return False
-        if not _feasible_mask(inst, DominationKind.SEMITOTAL, _set_mask(verdict.sds)):
+        if not is_feasible(g, DominationKind.SEMITOTAL, verdict.sds):
             return False
-        if not _config_match_valid(g, inst, verdict.match, verdict.sds):
+        if not _config_match_valid(g, _Instance(g), verdict.match, verdict.sds):
             return False
         contracted, _ = contract_edges(g, verdict.match.thick_edges)
         return _exact_value(contracted, DominationKind.SEMITOTAL) < value
@@ -453,20 +444,11 @@ def classify_ct_domination(g: Graph, *, budget: int | None = None) -> int:
     value = _exact_value(g, DominationKind.DOMINATION)
     if value < 2:
         raise FloorError("plain domination at its floor cannot decrease")
-    for d in enumerate_min_sets(g, DominationKind.DOMINATION, budget=budget):
-        dmask = _set_mask(d)
-        if any(g.rows[v] & dmask for v in d):
+    for d in feasible_sets(g, DominationKind.DOMINATION, value, budget=budget):
+        if any(inner_degrees(g, d)):
             return 1
-    inst = _Instance(g)
-    cap = budget or search_budget()
-    if comb(g.n, value + 1) > cap:
-        raise ScaleLimit("too many candidate sets")
-    for combo in combinations(range(g.n), value + 1):
-        dmask = _set_mask(combo)
-        if not _feasible_mask(inst, DominationKind.DOMINATION, dmask):
-            continue
-        internal = sum((g.rows[v] & dmask).bit_count() for v in combo) // 2
-        if internal >= 2:
+    for s in feasible_sets(g, DominationKind.DOMINATION, value + 1, budget=budget):
+        if sum(inner_degrees(g, s)) >= 4:  # two edges inside the set
             return 2
     return 3
 
@@ -481,20 +463,12 @@ def classify_ct_total(g: Graph, *, budget: int | None = None) -> int:
     value = _exact_value(g, DominationKind.TOTAL)
     if value < 3:
         raise FloorError("total domination below 3 cannot decrease")
-    for d in enumerate_min_sets(g, DominationKind.TOTAL, budget=budget):
-        dmask = _set_mask(d)
-        if any((g.rows[v] & dmask).bit_count() >= 2 for v in d):
+    for d in feasible_sets(g, DominationKind.TOTAL, value, budget=budget):
+        if max(inner_degrees(g, d)) >= 2:
             return 1  # a path on 3 vertices inside the set
-    inst = _Instance(g)
-    cap = budget or search_budget()
-    if comb(g.n, value + 1) > cap:
-        raise ScaleLimit("too many candidate sets")
-    for combo in combinations(range(g.n), value + 1):
-        dmask = _set_mask(combo)
-        if not _feasible_mask(inst, DominationKind.TOTAL, dmask):
-            continue
+    for s in feasible_sets(g, DominationKind.TOTAL, value + 1, budget=budget):
         if any(
-            contains_subgraph(g, pat, within=combo) is not None
+            contains_subgraph(g, pat, within=s) is not None
             for pat in (_P4, _CLAW, _2P3)
         ):
             return 2

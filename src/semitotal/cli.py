@@ -21,6 +21,7 @@ from .errors import (
     Infeasible,
     InvalidEdge,
     InvalidInstance,
+    InvalidSetting,
     NotInSet,
     ParseError,
     PatternTooLarge,
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="semitotal",
         description="Semitotal domination, contraction blockers, and the "
-        "pattern dichotomy.  SEMITOTAL_BUDGET caps search effort.",
+        "pattern dichotomy.  SEMITOTAL_BUDGET caps search nodes and subsets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -124,28 +125,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str | None) -> str:
+    """The text of the file at path, or of stdin for None."""
+    try:
+        if path is None:
+            return sys.stdin.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not ASCII", exc.start) from None
+
+
 def _load_graph(args) -> tuple[Graph, dict]:
     sources = [
         s for s in (args.graph6, args.file, "-" if args.stdin else None) if s
     ]
     if len(sources) != 1:
         raise UsageError("supply exactly one of --graph6, --file, --stdin")
-    if args.graph6:
-        text = args.graph6
-    elif args.file:
-        with open(args.file, encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    text = text.strip()
+    text = (args.graph6 or _read_text(args.file)).strip()
     if not text:
         raise ParseError("empty graph input", 0)
+    try:
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    except UnicodeEncodeError as exc:
+        raise ParseError("input is not ASCII", exc.start) from None
     first = text.splitlines()[0].split()
     if len(first) == 2 and all(tok.isdigit() for tok in first):
         g = parse_edge_list(text)
     else:
         g = from_graph6(text)
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     return g, {"sha256": digest, "order": g.n, "edges": g.m}
 
 
@@ -190,6 +198,8 @@ def _cmd_solve(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_blocker(args) -> tuple[dict, dict, int]:
+    if args.max_k < 1:
+        raise UsageError(f"--max-k must be at least 1, got {args.max_k}")
     g, digest = _load_graph(args)
     kind = _KINDS[args.kind]
     res = ct_exact(g, kind, args.max_k)
@@ -253,8 +263,7 @@ def _cmd_reduce(args) -> tuple[dict, dict, int]:
     else:
         if not args.sat:
             raise UsageError(f"--sat is required for the {args.target} target")
-        with open(args.sat, encoding="ascii") as fh:
-            text = fh.read()
+        text = _read_text(args.sat)
         sat = parse_sat(text)
         digest = {
             "sha256": hashlib.sha256(text.strip().encode("ascii")).hexdigest(),
@@ -326,7 +335,7 @@ def main(argv=None) -> int:
         results, digest, code = _COMMANDS[args.command](args)
         report["input"] = digest
         report["results"] = results
-    except UsageError as exc:
+    except (UsageError, InvalidSetting) as exc:
         report["error"] = {"type": "usage", "message": str(exc)}
         code = 1
     except _INPUT_ERRORS as exc:

@@ -1,30 +1,34 @@
 """Exact solvers for domination, total domination and semitotal domination.
 
-The workhorse is a deterministic branch-and-bound over vertex bitmasks with
-a greedy packing lower bound.  Small instances can instead be swept by
-subset enumeration, which doubles as the independent cross-check used by
-the tests and by the contraction-number oracle.
-"""
+Two engines answer every question.  The branch-and-bound `_Search` over
+vertex bitmasks, with a greedy packing lower bound, minimises (`solve`) and
+decides whether a set of at most k vertices exists (`exists_within`).  The
+one lexicographic sweep, `feasible_sets`, yields the feasible sets of one
+size in `combinations` order; it shares only the feasibility test with the
+search, so it is the independent route.  SEMITOTAL_BUDGET caps both."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from math import comb
 from time import monotonic
 
-from .errors import Infeasible, NotInSet, ScaleLimit
-from .graphs import Graph, _bits, is_connected
+from .errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
+from .graphs import Graph, _bits, inner_degrees, is_connected
 
 DEFAULT_BUDGET = 10**8
 
 
 def search_budget() -> int:
-    """Node / subset budget; SEMITOTAL_BUDGET overrides the default."""
-    raw = os.environ.get("SEMITOTAL_BUDGET", "")
-    return int(raw) if raw.isdigit() else DEFAULT_BUDGET
+    """Node / subset budget: SEMITOTAL_BUDGET, a positive integer, or the default."""
+    raw = os.environ.get("SEMITOTAL_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise InvalidSetting(f"SEMITOTAL_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 class DominationKind(Enum):
@@ -130,7 +134,7 @@ class _Search:
         self.kind = kind
         self.ball = inst.cover_ball(kind)
         self.order = sorted(range(inst.n), key=lambda v: (self.ball[v].bit_count(), v))
-        self.budget = budget
+        self.budget = search_budget() if budget is None else budget
         self.deadline = deadline
         self.stop_at = stop_at
         self.nodes = 0
@@ -215,7 +219,7 @@ def solve(
     """Minimum (semi)total/plain dominating set via branch-and-bound."""
     _check_solvable(g, kind)
     inst = _Instance(g)
-    search = _Search(inst, kind, budget or search_budget(), deadline, stop_at=None)
+    search = _Search(inst, kind, budget, deadline, stop_at=None)
     seed = _greedy_upper(inst, kind)
     search.best = seed.bit_count()
     search.best_mask = seed
@@ -235,15 +239,7 @@ def exists_within(
     _check_solvable(g, kind)
     if k <= 0:
         return False
-    if g.n <= 12:
-        inst = _Instance(g)
-        for size in range(1, min(k, g.n) + 1):
-            for combo in combinations(range(g.n), size):
-                if _feasible_mask(inst, kind, _set_mask(combo)):
-                    return True
-        return False
-    inst = _Instance(g)
-    search = _Search(inst, kind, budget or search_budget(), deadline, stop_at=k)
+    search = _Search(_Instance(g), kind, budget, deadline, stop_at=k)
     search.best = k + 1
     try:
         search.run(0, 0, 0)
@@ -252,36 +248,53 @@ def exists_within(
     return search.best <= k
 
 
+def feasible_sets(g: Graph, kind: DominationKind, k: int, *, budget: int | None = None):
+    """Every feasible set of exactly k vertices, as tuples in `combinations`
+    order.  A branch is cut once its vertices and all later ones cannot cover
+    the graph; leaves are checked in full.  ScaleLimit if C(n, k) > budget."""
+    return _sweep(_Instance(g), kind, k, budget)
+
+
+def _sweep(inst: _Instance, kind: DominationKind, k: int, budget: int | None):
+    cap = search_budget() if budget is None else budget
+    if comb(inst.n, k) > cap:
+        raise ScaleLimit(f"C({inst.n},{k}) exceeds the {cap} subset budget")
+    ball = inst.cover_ball(kind)
+    later = [0] * (inst.n + 1)  # later[v]: union of the balls of v..n-1
+    for v in range(inst.n - 1, -1, -1):
+        later[v] = later[v + 1] | ball[v]
+    chosen: list[int] = []
+
+    def extend(start: int, dmask: int, cover: int):
+        left = k - len(chosen)
+        if not left:
+            if _feasible_mask(inst, kind, dmask):
+                yield tuple(chosen)
+            return
+        for v in range(start, inst.n - left + 1):
+            if cover | later[v] != inst.all:
+                return
+            chosen.append(v)
+            yield from extend(v + 1, dmask | 1 << v, cover | ball[v])
+            chosen.pop()
+
+    yield from extend(0, 0, 0)
+
+
 def solve_by_enumeration(g: Graph, kind: DominationKind, *, budget: int | None = None) -> SolveResult:
-    """Smallest feasible set by plain subset sweep; independent of the search."""
+    """Smallest feasible set by the subset sweep; independent of the search."""
     _check_solvable(g, kind)
     inst = _Instance(g)
-    cap = budget or search_budget()
-    visited = 0
     for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            visited += 1
-            if visited > cap:
-                raise ScaleLimit(f"enumeration exceeded {cap} subsets")
-            if _feasible_mask(inst, kind, _set_mask(combo)):
-                return SolveResult(kind, size, frozenset(combo))
+        for d in _sweep(inst, kind, size, budget):
+            return SolveResult(kind, size, frozenset(d))
     raise Infeasible(f"no feasible {kind.value} set exists")
 
 
 def enumerate_min_sets(g: Graph, kind: DominationKind, *, budget: int | None = None) -> list[frozenset[int]]:
     """All minimum sets for the variant, in lexicographic subset order."""
     value = solve(g, kind, budget=budget).value
-    cap = budget or search_budget()
-    if g.n > 14 and value > 6:
-        raise ScaleLimit(f"enumerate_min_sets out of scale: n={g.n}, value={value}")
-    if comb(g.n, value) > cap:
-        raise ScaleLimit(f"C({g.n},{value}) exceeds the {cap} subset budget")
-    inst = _Instance(g)
-    return [
-        frozenset(combo)
-        for combo in combinations(range(g.n), value)
-        if _feasible_mask(inst, kind, _set_mask(combo))
-    ]
+    return [frozenset(d) for d in feasible_sets(g, kind, value, budget=budget)]
 
 
 def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
@@ -308,8 +321,6 @@ def private_neighbours(g: Graph, d, v: int) -> frozenset[int]:
 
 def all_min_sds_independent(g: Graph) -> bool:
     """True iff every minimum semitotal dominating set induces no edge."""
-    for d in enumerate_min_sets(g, DominationKind.SEMITOTAL):
-        dmask = _set_mask(d)
-        if any(g.rows[v] & dmask for v in d):
-            return False
-    return True
+    value = solve(g, DominationKind.SEMITOTAL).value
+    sets = feasible_sets(g, DominationKind.SEMITOTAL, value)
+    return not any(any(inner_degrees(g, d)) for d in sets)

@@ -40,6 +40,10 @@ class ScaleLimit(SemitotalError):
     """The search or enumeration budget was exhausted before an answer."""
 
 
+class InvalidSetting(SemitotalError):
+    """An environment setting such as SEMITOTAL_BUDGET has an unusable value."""
+
+
 class InvalidInstance(SemitotalError):
     """A SAT instance violates its declared shape (arity, bounds, ranges)."""
 

@@ -141,6 +141,12 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def inner_degrees(g: Graph, vertices) -> list[int]:
+    """Neighbours each given vertex has among the given vertices, in order."""
+    mask = sum(1 << v for v in set(vertices))
+    return [(g.rows[v] & mask).bit_count() for v in vertices]
+
+
 # -- derived graphs ------------------------------------------------------
 
 
@@ -522,21 +528,22 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise ParseError("empty edge-list input", offset=0)
     head = lines[0].split()
-    if len(head) != 2 or not all(t.lstrip("-").isdigit() for t in head):
+    # str.isdigit alone also accepts the digits of other scripts
+    if len(head) != 2 or not all(t.isascii() and t.isdigit() for t in head):
         raise ParseError(f"bad header {lines[0]!r}", offset=0)
     n, m = int(head[0]), int(head[1])
-    if n < 0 or m < 0:
-        raise ParseError(f"negative counts in header {lines[0]!r}", offset=0)
+    if n > _G6_MAX:
+        raise ParseError(f"order {n} exceeds the graph6 maximum {_G6_MAX}", offset=0)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
     seen = set()
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(t.lstrip("-").isdigit() for t in parts):
+        if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
             raise ParseError(f"bad edge line {ln!r}")
         u, v = int(parts[0]), int(parts[1])
-        if u == v or not (0 <= u < n and 0 <= v < n):
+        if u == v or u >= n or v >= n:
             raise ParseError(f"invalid edge {u} {v} for n={n}")
         e = normalize_edge(u, v)
         if e in seen:

@@ -26,16 +26,14 @@ from .graphs import (
     contains_induced,
     disjoint_union,
     induced_subgraph,
+    inner_degrees,
     is_connected,
     path_graph,
 )
 from .domination import (
     DominationKind,
-    _Instance,
-    _feasible_mask,
-    _set_mask,
-    enumerate_min_sets,
     exists_within,
+    feasible_sets,
     search_budget,
     solve,
 )
@@ -93,27 +91,19 @@ def classify_h(h: Graph) -> HClassification:
 _P5 = path_graph(5)
 
 
-def _sds_pair_exists(g: Graph) -> bool:
-    """Polynomial scan for a two-vertex semitotal dominating set."""
-    inst = _Instance(g)
-    return any(
-        _feasible_mask(inst, DominationKind.SEMITOTAL, (1 << u) | (1 << v))
-        for u, v in combinations(range(g.n), 2)
-    )
-
-
 def ec1_gt2_p5free(g: Graph) -> bool:
     """One contraction lowers the semitotal value of a connected P5-free graph.
 
     With the value at 2 nothing can decrease, and a value of at least 3 in
-    this class always admits a lowering contraction, so the pair scan alone
-    settles the answer.
+    this class always admits a lowering contraction, so asking for a set of
+    at most two vertices settles the answer.  No single vertex is semitotal,
+    and the bound stops the search at depth two: the test stays polynomial.
     """
     if not is_connected(g) or not is_h_free(g, _P5):
         raise PreconditionViolated("expects a connected P5-free graph")
     if g.n < 2:
         raise Infeasible("semitotal domination needs at least two vertices")
-    return not _sds_pair_exists(g)
+    return not exists_within(g, DominationKind.SEMITOTAL, 2)
 
 
 def _p3_plus(p: int) -> Graph:
@@ -174,7 +164,7 @@ def abc_partition(g: Graph, anchor, k: int) -> ABCPartition:
     of the anchor and the far layer is independent; both facts are enforced
     rather than assumed.
     """
-    amask = _set_mask(anchor)
+    amask = sum(1 << v for v in set(anchor))
     bmask = 0
     for v in _bits(amask):
         bmask |= g.rows[v]
@@ -205,11 +195,9 @@ def sds_size_threshold(k: int, a: int) -> int:
 def _min_ds_has_edge(g: Graph, *, budget: int | None = None) -> bool:
     """One contraction lowers plain domination iff some minimum dominating
     set spans an edge."""
-    for d in enumerate_min_sets(g, DominationKind.DOMINATION, budget=budget):
-        dmask = _set_mask(d)
-        if any(g.rows[v] & dmask for v in d):
-            return True
-    return False
+    value = solve(g, DominationKind.DOMINATION, budget=budget).value
+    sets = feasible_sets(g, DominationKind.DOMINATION, value, budget=budget)
+    return any(any(inner_degrees(g, d)) for d in sets)
 
 
 def ec1_gt2_p3kp2free(g: Graph, k: int, *, budget: int | None = None) -> bool:
@@ -228,7 +216,7 @@ def ec1_gt2_p3kp2free(g: Graph, k: int, *, budget: int | None = None) -> bool:
     if g.n < 2:
         raise Infeasible("semitotal domination needs at least two vertices")
     # value 2 is the floor; no contraction can help
-    if _sds_pair_exists(g):
+    if exists_within(g, DominationKind.SEMITOTAL, 2, budget=budget):
         return False
     while k >= 1:
         anchor = find_A(g, k)

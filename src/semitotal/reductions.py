@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import Infeasible, InvalidInstance, ParseError, ScaleLimit
 from .graphs import Graph, induced_subgraph, is_connected
 from .domination import DominationKind, solve
-from .smallgraphs import canonical_form  # noqa: F401  (re-export convenience)
 
 
 # -- 1-in-3 SAT instances ------------------------------------------------

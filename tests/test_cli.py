@@ -190,3 +190,42 @@ def test_reports_deterministic_modulo_timing(capsys):
     rep2.pop("timing")
     assert code1 == code2 == 0
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_invalid_budget_setting_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "abc")
+    code, report = run_cli(capsys, "solve", "--graph6", "Ch")
+    assert code == 1
+    assert report["error"]["type"] == "usage"
+    assert "SEMITOTAL_BUDGET" in report["error"]["message"]
+
+
+def test_non_ascii_digit_on_stdin_exits_2(capsys, monkeypatch):
+    # U+0661 ARABIC-INDIC DIGIT ONE passes str.isdigit
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 \u0661\n"))
+    code, report = run_cli(capsys, "solve", "--stdin")
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+
+
+def test_non_ascii_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"2 1\n0 \xd9\xa1\n")
+    code, report = run_cli(capsys, "solve", "--file", str(path))
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+    assert "offset 6" in report["error"]["message"]
+
+
+def test_blocker_max_k_below_one_is_a_usage_error(capsys):
+    for k in ("0", "-1"):
+        code, report = run_cli(capsys, "blocker", "--graph6", C6, "--max-k", k)
+        assert code == 1
+        assert report["error"]["type"] == "usage"
+
+
+def test_edge_list_order_above_graph6_maximum_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("258048 0\n"))
+    code, report = run_cli(capsys, "solve", "--stdin")
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"

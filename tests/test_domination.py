@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from semitotal import (
     disjoint_union,
     enumerate_min_sets,
     exists_within,
+    feasible_sets,
     is_feasible,
     iter_connected_graphs,
     path_graph,
@@ -18,8 +22,8 @@ from semitotal import (
     star_graph,
     witnesses_of,
 )
-from semitotal.domination import private_neighbours
-from semitotal.errors import Infeasible, NotInSet, ScaleLimit
+from semitotal.domination import DEFAULT_BUDGET, private_neighbours, search_budget
+from semitotal.errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
 from semitotal.graphs import Graph, random_connected
 
 import oracles
@@ -127,9 +131,59 @@ def test_enumerate_min_sets_matches_oracle():
     for g in iter_connected_graphs(6, min_n=2):
         n, edges = oracles.edge_data(g)
         for kind in KINDS:
-            got = sorted(enumerate_min_sets(g, kind))
-            want = sorted(oracles.brute_min_sets(n, edges, kind.value))
+            got = enumerate_min_sets(g, kind)
+            want = oracles.brute_min_sets(n, edges, kind.value)
             assert got == want
+
+
+def test_feasible_sets_match_subset_sweep():
+    # the same sets in the same combinations order, one size above the minimum too
+    for g in iter_connected_graphs(6, min_n=2):
+        n, edges = oracles.edge_data(g)
+        adj = oracles.adjacency(n, edges)
+        for kind in KINDS:
+            value = solve(g, kind).value
+            for k in (value - 1, value, value + 1):
+                want = [c for c in combinations(range(n), k)
+                        if oracles.CHECKS[kind.value](adj, set(c))]
+                assert list(feasible_sets(g, kind, k)) == want
+
+
+def test_feasible_sets_budget_counts_subsets():
+    c6 = cycle_graph(6)
+    assert len(list(feasible_sets(c6, SDS, 3, budget=comb(6, 3)))) > 0
+    with pytest.raises(ScaleLimit):
+        next(feasible_sets(c6, SDS, 3, budget=comb(6, 3) - 1))
+
+
+def test_exists_within_honours_budget_at_small_order():
+    with pytest.raises(ScaleLimit):
+        exists_within(cycle_graph(9), SDS, 3, budget=1)
+
+
+def test_zero_budget_is_a_budget():
+    with pytest.raises(ScaleLimit):
+        solve(cycle_graph(6), SDS, budget=0)
+    with pytest.raises(ScaleLimit):
+        enumerate_min_sets(cycle_graph(6), SDS, budget=0)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "", "1e6", "\u0661"])
+def test_search_budget_rejects_invalid_settings(monkeypatch, raw):
+    monkeypatch.setenv("SEMITOTAL_BUDGET", raw)
+    with pytest.raises(InvalidSetting):
+        search_budget()
+    with pytest.raises(InvalidSetting):
+        solve(cycle_graph(6), SDS)
+
+
+def test_search_budget_reads_the_setting(monkeypatch):
+    monkeypatch.delenv("SEMITOTAL_BUDGET", raising=False)
+    assert search_budget() == DEFAULT_BUDGET
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1")
+    assert search_budget() == 1
+    with pytest.raises(ScaleLimit):
+        solve(cycle_graph(6), SDS)
 
 
 def test_enumerate_min_sets_scale_guard():
