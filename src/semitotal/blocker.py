@@ -18,14 +18,17 @@ from itertools import combinations
 from .errors import FloorError, Infeasible, ScaleLimit
 from .graphs import (
     Graph,
+    _bfs_dist,
     _bits,
     contains_subgraph,
     contract_edges,
+    embed,
     inner_degrees,
     is_connected,
     normalize_edge,
     path_graph,
     star_graph,
+    vertex_mask,
 )
 from .patterns import parse_pattern
 from .domination import (
@@ -98,6 +101,29 @@ def ct_exact(
 # -- friendly triples ----------------------------------------------------
 
 
+# The rows the plans of this module check against, measured in the whole
+# graph: adjacency, distance exactly two, and distance one or two.  A plan is
+# the (checks, reuse) pair that graphs.embed takes, in role order.
+_ADJ, _DIST2, _NEAR = range(3)
+
+
+def _tables(g: Graph) -> tuple[tuple[int, ...], ...]:
+    near = _Instance(g).ball2open
+    return g.rows, tuple(b & ~r for b, r in zip(near, g.rows)), near
+
+
+def _realised(tables, plan, hosts, s) -> bool:
+    """Whether the hosts, all members of s, pass the plan's checks."""
+    members = set(s)
+    return embed(tables, *plan, tuple(1 << v if v in members else 0 for v in hosts)) is not None
+
+
+# roles x, y, z: xy an edge, z within distance two of y
+_TRIPLE = ((), ((0, _ADJ, True),), ((1, _NEAR, True),)), ((), (), ())
+# roles u, v: v within distance two of u
+_PAIR = ((), ((0, _NEAR, True),)), ((), ())
+
+
 def has_friendly_triple(g: Graph, d) -> tuple[int, int, int] | None:
     """First (x, y, z) in d with xy an edge and d(y, z) <= 2, in lex order.
 
@@ -105,16 +131,20 @@ def has_friendly_triple(g: Graph, d) -> tuple[int, int, int] | None:
     tried.  Contracting xy inside a minimum semitotal dominating set d
     lowers the parameter.
     """
-    members = sorted(set(d))
-    inst = _Instance(g)
-    for x in members:
-        for y in members:
-            if y == x or not g.rows[x] >> y & 1:
-                continue
-            near_y = inst.ball2open[y]
-            for z in members:
-                if z not in (x, y) and near_y >> z & 1:
-                    return (x, y, z)
+    return _triple_in(_tables(g), vertex_mask(g, d))
+
+
+def _triple_in(tables, dmask: int) -> tuple[int, int, int] | None:
+    return embed(tables, *_TRIPLE, (dmask,) * 3)
+
+
+def _first_carrying(g: Graph, tables, k: int, find, budget: int | None):
+    """First semitotal dominating set of size k, with its hit, on which
+    find(tables, mask of the set) hits; None if there is none."""
+    for d in feasible_sets(g, DominationKind.SEMITOTAL, k, budget=budget):
+        hit = find(tables, vertex_mask(g, d))
+        if hit is not None:
+            return frozenset(d), hit
     return None
 
 
@@ -123,11 +153,7 @@ def min_sds_has_friendly_triple(
 ) -> tuple[frozenset[int], tuple[int, int, int]] | None:
     """First minimum semitotal dominating set carrying a friendly triple."""
     value = solve(g, DominationKind.SEMITOTAL, budget=budget).value
-    for d in feasible_sets(g, DominationKind.SEMITOTAL, value, budget=budget):
-        triple = has_friendly_triple(g, d)
-        if triple is not None:
-            return frozenset(d), triple
-    return None
+    return _first_carrying(g, _tables(g), value, _triple_in, budget)
 
 
 # -- the seven two-contraction configurations ----------------------------
@@ -146,7 +172,7 @@ class STConfigId(Enum):
 @dataclass(frozen=True)
 class _ConfigSpec:
     roles: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]       # required edges, by role index
+    edges: tuple[tuple[int, int], ...]       # required edges, earlier role first
     dist2: tuple[tuple[int, int], ...]       # required distance exactly 2
     thick: tuple[tuple[int, int], tuple[int, int]]
     allow_equal: tuple[tuple[int, int], ...] = ()
@@ -212,40 +238,23 @@ class ConfigMatch:
         return tuple(self.assignment[r] for r in CONFIG_SPECS[self.config].roles)
 
 
-def _match_config(g: Graph, inst: _Instance, spec: _ConfigSpec, members: list[int]):
-    d2 = tuple(inst.ball2open[v] & ~g.rows[v] for v in range(g.n))
-    arity = len(spec.roles)
-    assign: list[int] = []
+def _config_plan(spec: _ConfigSpec):
+    """Solid lines check adjacency and dashed lines distance exactly two, at
+    the later role of each pair; allow_equal lets a role repeat the earlier."""
+    lines = [(i, j, _ADJ) for i, j in spec.edges] + [(i, j, _DIST2) for i, j in spec.dist2]
+    roles = range(len(spec.roles))
+    return (
+        tuple(tuple((i, t, True) for i, j, t in lines if j == r) for r in roles),
+        tuple(tuple(i for i, j in spec.allow_equal if j == r) for r in roles),
+    )
 
-    def ok(pos: int, v: int) -> bool:
-        for i, u in enumerate(assign):
-            if u == v and (i, pos) not in spec.allow_equal:
-                return False
-        for i, j in spec.edges:
-            if j == pos and i < pos and not g.rows[assign[i]] >> v & 1:
-                return False
-            if i == pos and j < pos and not g.rows[assign[j]] >> v & 1:
-                return False
-        for i, j in spec.dist2:
-            if j == pos and i < pos and not d2[assign[i]] >> v & 1:
-                return False
-            if i == pos and j < pos and not d2[assign[j]] >> v & 1:
-                return False
-        return True
 
-    def extend(pos: int):
-        if pos == arity:
-            return tuple(assign)
-        for v in members:
-            if ok(pos, v):
-                assign.append(v)
-                hit = extend(pos + 1)
-                if hit:
-                    return hit
-                assign.pop()
-        return None
+_CONFIG_PLANS = {cid: _config_plan(spec) for cid, spec in CONFIG_SPECS.items()}
 
-    return extend(0)
+
+def _thick_edges(spec: _ConfigSpec, hit) -> tuple[tuple[int, int], tuple[int, int]]:
+    (a, b), (c, d) = spec.thick
+    return normalize_edge(hit[a], hit[b]), normalize_edge(hit[c], hit[d])
 
 
 def match_st_configuration(g: Graph, s) -> ConfigMatch | None:
@@ -255,17 +264,17 @@ def match_st_configuration(g: Graph, s) -> ConfigMatch | None:
     s; distances are measured in the whole graph, not in the subgraph
     induced by s.
     """
-    members = sorted(set(s))
-    inst = _Instance(g)
-    for cid in STConfigId:
+    return _config_in(_tables(g), vertex_mask(g, s))
+
+
+def _config_in(tables, smask: int, cids=tuple(STConfigId)) -> ConfigMatch | None:
+    for cid in cids:
         spec = CONFIG_SPECS[cid]
-        if len(members) < len(spec.roles) - len(spec.allow_equal):
-            continue
-        hit = _match_config(g, inst, spec, members)
-        if hit:
-            assignment = dict(zip(spec.roles, hit))
-            thick = tuple(normalize_edge(hit[i], hit[j]) for i, j in spec.thick)
-            return ConfigMatch(cid, assignment, (thick[0], thick[1]))
+        if len(spec.roles) - len(spec.allow_equal) > smask.bit_count():
+            continue  # too few members for the distinct roles
+        hit = embed(tables, *_CONFIG_PLANS[cid], (smask,) * len(spec.roles))
+        if hit is not None:
+            return ConfigMatch(cid, dict(zip(spec.roles, hit)), _thick_edges(spec, hit))
     return None
 
 
@@ -274,11 +283,7 @@ def exists_plus1_sds_with_config(
 ) -> tuple[frozenset[int], ConfigMatch] | None:
     """Search all semitotal dominating sets of size value+1 for a config."""
     value = _exact_value(g, DominationKind.SEMITOTAL)
-    for s in feasible_sets(g, DominationKind.SEMITOTAL, value + 1, budget=budget):
-        hit = match_st_configuration(g, s)
-        if hit is not None:
-            return frozenset(s), hit
-    return None
+    return _first_carrying(g, _tables(g), value + 1, _config_in, budget)
 
 
 # -- shortest-path fallback certificate ----------------------------------
@@ -286,8 +291,6 @@ def exists_plus1_sds_with_config(
 
 def _shortest_path(g: Graph, src: int, dst: int) -> list[int]:
     """One shortest src-dst path, smallest-id tie-breaks."""
-    from .graphs import _bfs_dist
-
     dist = _bfs_dist(g.rows, g.n, dst)
     path = [src]
     cur = src
@@ -306,18 +309,15 @@ def path_contraction_certificate(g: Graph, *, budget: int | None = None) -> Cont
     id) and contract a shortest path from w to the closer of u, v.
     """
     value = _exact_value(g, DominationKind.SEMITOTAL)
+    return _path_certificate(g, _tables(g), value, budget)
+
+
+def _path_certificate(g: Graph, tables, value: int, budget: int | None) -> ContractionCertificate:
     if value < 3:
         raise FloorError(f"needs value >= 3, got {value}")
     d = next(feasible_sets(g, DominationKind.SEMITOTAL, value, budget=budget))
-    inst = _Instance(g)
-    pair = next(
-        (u, v)
-        for u, v in combinations(d, 2)
-        if inst.ball2open[u] >> v & 1
-    )
-    u, v = pair
-    from .graphs import _bfs_dist
-
+    # the first pair in lex order is also the first with u < v
+    pair = u, v = embed(tables, *_PAIR, (vertex_mask(g, d),) * 2)
     du = _bfs_dist(g.rows, g.n, u)
     dv = _bfs_dist(g.rows, g.n, v)
     w = min((x for x in d if x not in pair), key=lambda x: (min(du[x], dv[x]), x))
@@ -357,15 +357,16 @@ def characterize_ct(g: Graph, *, budget: int | None = None) -> CtVerdict:
     value = _exact_value(g, DominationKind.SEMITOTAL)
     if value == 2:
         return CtVerdict(value, None, CtMechanism.FLOOR)
-    hit1 = min_sds_has_friendly_triple(g, budget=budget)
+    tables = _tables(g)
+    hit1 = _first_carrying(g, tables, value, _triple_in, budget)
     if hit1 is not None:
         d, triple = hit1
         return CtVerdict(value, 1, CtMechanism.FRIENDLY_TRIPLE, sds=d, triple=triple)
-    hit2 = exists_plus1_sds_with_config(g, budget=budget)
+    hit2 = _first_carrying(g, tables, value + 1, _config_in, budget)
     if hit2 is not None:
         s, match = hit2
         return CtVerdict(value, 2, CtMechanism.ST_CONFIGURATION, sds=s, match=match)
-    cert = path_contraction_certificate(g, budget=budget)
+    cert = _path_certificate(g, tables, value, budget)
     return CtVerdict(value, 3, CtMechanism.PATH_CONTRACTION, certificate=cert)
 
 
@@ -379,16 +380,13 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
     if verdict.mechanism is CtMechanism.FRIENDLY_TRIPLE:
         if verdict.k != 1 or verdict.sds is None or verdict.triple is None:
             return False
-        x, y, z = verdict.triple
         if not (
             len(verdict.sds) == value
             and is_feasible(g, DominationKind.SEMITOTAL, verdict.sds)
-            and {x, y, z} <= set(verdict.sds)
-            and g.has_edge(x, y)
-            and _Instance(g).ball2open[y] >> z & 1
+            and _realised(_tables(g), _TRIPLE, verdict.triple, verdict.sds)
         ):
             return False
-        contracted, _ = contract_edges(g, [(x, y)])
+        contracted, _ = contract_edges(g, [verdict.triple[:2]])
         return _exact_value(contracted, DominationKind.SEMITOTAL) < value
     if verdict.mechanism is CtMechanism.ST_CONFIGURATION:
         if verdict.k != 2 or verdict.sds is None or verdict.match is None:
@@ -397,7 +395,12 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
             return False
         if not is_feasible(g, DominationKind.SEMITOTAL, verdict.sds):
             return False
-        if not _config_match_valid(g, _Instance(g), verdict.match, verdict.sds):
+        spec = CONFIG_SPECS[verdict.match.config]
+        hit = tuple(verdict.match.assignment.get(r) for r in spec.roles)
+        if not (
+            _realised(_tables(g), _CONFIG_PLANS[verdict.match.config], hit, verdict.sds)
+            and _thick_edges(spec, hit) == tuple(verdict.match.thick_edges)
+        ):
             return False
         contracted, _ = contract_edges(g, verdict.match.thick_edges)
         return _exact_value(contracted, DominationKind.SEMITOTAL) < value
@@ -411,29 +414,6 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
         after = _exact_value(contracted, DominationKind.SEMITOTAL)
         return after == cert.value_after and after < value
     return False
-
-
-def _config_match_valid(g: Graph, inst: _Instance, match: ConfigMatch, s) -> bool:
-    spec = CONFIG_SPECS[match.config]
-    try:
-        hit = tuple(match.assignment[r] for r in spec.roles)
-    except KeyError:
-        return False
-    if not set(hit) <= set(s):
-        return False
-    for i, u in enumerate(hit):
-        for j in range(i + 1, len(hit)):
-            if hit[j] == u and (i, j) not in spec.allow_equal:
-                return False
-    d2 = tuple(inst.ball2open[v] & ~g.rows[v] for v in range(g.n))
-    for i, j in spec.edges:
-        if not g.has_edge(hit[i], hit[j]):
-            return False
-    for i, j in spec.dist2:
-        if not d2[hit[i]] >> hit[j] & 1:
-            return False
-    thick = tuple(normalize_edge(hit[i], hit[j]) for i, j in spec.thick)
-    return thick == tuple(match.thick_edges)
 
 
 # -- prior classifications for plain and total domination ---------------
@@ -483,9 +463,4 @@ def p4_forces_config(g: Graph, d) -> bool:
     """
     if contains_subgraph(g, _P4, within=d) is None:
         return True
-    members = sorted(set(d))
-    inst = _Instance(g)
-    for cid in (STConfigId.O4, STConfigId.O6):
-        if _match_config(g, inst, CONFIG_SPECS[cid], members):
-            return True
-    return False
+    return _config_in(_tables(g), vertex_mask(g, d), (STConfigId.O4, STConfigId.O6)) is not None

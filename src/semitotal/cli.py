@@ -76,6 +76,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def print_help(self, file=None):
+        # argparse exits after this; stdout still holds one JSON object
+        _emit({"schema": SCHEMA, "help": self.format_help()}, time.monotonic())
+
 
 def _add_graph_source(sub):
     sub.add_argument("--graph6", help="inline graph6 code")

@@ -16,7 +16,7 @@ from math import comb
 from time import monotonic
 
 from .errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
-from .graphs import Graph, _bits, inner_degrees, is_connected
+from .graphs import Graph, _bits, inner_degrees, is_connected, vertex_mask
 
 DEFAULT_BUDGET = 10**8
 
@@ -65,10 +65,6 @@ class _Instance:
         return self.open if kind is DominationKind.TOTAL else self.closed
 
 
-def _set_mask(d) -> int:
-    return sum(1 << v for v in set(d))
-
-
 def _feasible_mask(inst: _Instance, kind: DominationKind, dmask: int) -> bool:
     cover = 0
     for v in _bits(dmask):
@@ -93,7 +89,7 @@ def is_feasible(g: Graph, kind: DominationKind, d) -> bool:
         raise NotInSet(f"set contains vertices outside 0..{g.n - 1}")
     if kind is not DominationKind.DOMINATION and g.n < 2:
         raise Infeasible(f"{kind.value} domination needs at least 2 vertices")
-    return _feasible_mask(_Instance(g), kind, _set_mask(dset))
+    return _feasible_mask(_Instance(g), kind, vertex_mask(g, dset))
 
 
 def _greedy_upper(inst: _Instance, kind: DominationKind) -> int:
@@ -303,7 +299,7 @@ def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
     if v not in dset:
         raise NotInSet(f"vertex {v} is not in the given set")
     inst = _Instance(g)
-    return frozenset(_bits(inst.ball2open[v] & _set_mask(dset)))
+    return frozenset(_bits(inst.ball2open[v] & vertex_mask(g, dset)))
 
 
 def private_neighbours(g: Graph, d, v: int) -> frozenset[int]:
@@ -311,7 +307,7 @@ def private_neighbours(g: Graph, d, v: int) -> frozenset[int]:
     dset = set(d)
     if v not in dset:
         raise NotInSet(f"vertex {v} is not in the given set")
-    dmask = _set_mask(dset)
+    dmask = vertex_mask(g, dset)
     return frozenset(
         u
         for u in _bits(g.rows[v])

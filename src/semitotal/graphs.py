@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import inf
 
 from .errors import GenerationFailed, InvalidEdge, ParseError, PatternTooLarge
@@ -141,9 +142,17 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
+def vertex_mask(g: Graph, vertices) -> int:
+    """Bitmask of the given vertices; InvalidEdge if one is not in g."""
+    vs = set(vertices)
+    if any(v < 0 or v >= g.n for v in vs):
+        raise InvalidEdge("vertex out of range")
+    return sum(1 << v for v in vs)
+
+
 def inner_degrees(g: Graph, vertices) -> list[int]:
     """Neighbours each given vertex has among the given vertices, in order."""
-    mask = sum(1 << v for v in set(vertices))
+    mask = vertex_mask(g, vertices)
     return [(g.rows[v] & mask).bit_count() for v in vertices]
 
 
@@ -155,9 +164,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
 
     Returns the subgraph and the old-id -> new-id map.
     """
-    vs = sorted(set(vertices))
-    if any(v < 0 or v >= g.n for v in vs):
-        raise InvalidEdge("induced_subgraph: vertex out of range")
+    vs = sorted(_bits(vertex_mask(g, vertices)))
     remap = {v: i for i, v in enumerate(vs)}
     rows = [0] * len(vs)
     for v in vs:
@@ -275,81 +282,97 @@ def random_connected(n: int, p: float, seed: int) -> Graph:
     raise GenerationFailed(f"no connected sample for n={n}, p={p} after 1000 tries")
 
 
+# -- the embedding engine ------------------------------------------------
+
+
+def embed(tables, checks, reuse, domains) -> tuple[int, ...] | None:
+    """First host tuple, one host per step, that passes every check.
+
+    Step i draws its host from the bitmask `domains[i]`.  Each
+    `(j, table, want)` in `checks[i]` asks that the host of step i lie
+    (`want`) or not lie in the row `tables[table][host of step j]` of an
+    earlier step j.  Hosts are distinct, except that step i may repeat the
+    host of each earlier step in `reuse[i]`.  All checks are folded into one
+    candidate mask per step (bitset domain filtering, as in the Glasgow
+    Subgraph Solver) and candidates are taken lowest id first, so the answer
+    is the lexicographically first in step order.  With one candidate per
+    step, this verifies a given assignment.
+    """
+    last = len(checks)
+    hosts = [0] * last
+
+    def extend(i: int, used: int) -> bool:
+        if i == last:
+            return True
+        dom = domains[i]
+        cand = dom & ~used
+        for j in reuse[i]:
+            cand |= dom & 1 << hosts[j]
+        for j, table, want in checks[i]:
+            row = tables[table][hosts[j]]
+            cand &= row if want else ~row
+        while cand:
+            low = cand & -cand
+            hosts[i] = low.bit_length() - 1
+            if extend(i + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    return tuple(hosts) if extend(0, 0) else None
+
+
 # -- induced / subgraph pattern search -----------------------------------
 
 
-def _pattern_order(h: Graph) -> list[int]:
-    """Vertex order that keeps each prefix as connected as possible."""
+@lru_cache(maxsize=32)
+def _pattern_plan(h: Graph, induced: bool):
+    """Placement order, each prefix as connected as possible (most placed
+    neighbours, then highest degree, then smallest id), with each step's
+    checks on g's rows: one per placed vertex that h joins to it by an edge
+    or, when induced, by a non-edge."""
     order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < h.n:
-        best = None
-        key = None
-        for v in range(h.n):
-            if v in placed:
-                continue
-            k = (sum(1 for w in _bits(h.rows[v]) if w in placed), h.degree(v), -v)
-            if key is None or k > key:
-                key = k
-                best = v
-        order.append(best)
-        placed.add(best)
-    return order
+    checks = []
+    placed = 0
+    for _ in range(h.n):
+        p = max(
+            (v for v in range(h.n) if not placed >> v & 1),
+            key=lambda v: ((h.rows[v] & placed).bit_count(), h.rows[v].bit_count(), -v),
+        )
+        checks.append(tuple(
+            (j, 0, edge)
+            for j, q in enumerate(order)
+            if (edge := bool(h.rows[p] >> q & 1)) or induced
+        ))
+        order.append(p)
+        placed |= 1 << p
+    return tuple(order), tuple(checks), ((),) * h.n
 
 
-def _match(g: Graph, h: Graph, induced: bool, within: int) -> dict[int, int] | None:
+def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
     if h.n > MAX_PATTERN_ORDER:
         raise PatternTooLarge(f"pattern has {h.n} vertices, limit {MAX_PATTERN_ORDER}")
-    if h.n > within.bit_count():
+    mask = g.full_mask() if within is None else vertex_mask(g, within)
+    if h.n > mask.bit_count():
         return None
-    order = _pattern_order(h)
-    assign: dict[int, int] = {}
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
-            return True
-        p = order[i]
-        cand = within & ~used
-        for q in _bits(h.rows[p]):
-            if q in assign:
-                cand &= g.rows[assign[q]]
-        for host in _bits(cand):
-            if induced:
-                ok = all(
-                    (h.rows[p] >> q & 1) == (g.rows[host] >> assign[q] & 1)
-                    for q in assign
-                )
-            else:
-                ok = True  # edge constraints already folded into cand
-            if ok:
-                assign[p] = host
-                used |= 1 << host
-                if extend(i + 1):
-                    return True
-                del assign[p]
-                used ^= 1 << host
-        return False
-
-    if extend(0):
-        return dict(sorted(assign.items()))
-    return None
+    order, checks, reuse = _pattern_plan(h, induced)
+    hosts = embed((g.rows,), checks, reuse, (mask,) * h.n)
+    return None if hosts is None else dict(sorted(zip(order, hosts)))
 
 
 def contains_induced(g: Graph, h: Graph, within=None) -> dict[int, int] | None:
     """First induced copy of h in g as a pattern-id -> host-id map, else None.
 
-    `within` optionally restricts host vertices to a subset of V(g).
+    `within` optionally restricts host vertices to a subset of V(g).  The
+    pattern is placed in the order of `_pattern_plan`, so the copy returned
+    is the first that `embed` finds in that order.
     """
-    mask = g.full_mask() if within is None else sum(1 << v for v in set(within))
-    return _match(g, h, induced=True, within=mask)
+    return _match(g, h, True, within)
 
 
 def contains_subgraph(g: Graph, h: Graph, within=None) -> dict[int, int] | None:
     """Like contains_induced but only requires h's edges to be present."""
-    mask = g.full_mask() if within is None else sum(1 << v for v in set(within))
-    return _match(g, h, induced=False, within=mask)
+    return _match(g, h, False, within)
 
 
 # -- class predicates ----------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, PatternTooLarge
 from .graphs import (
     Graph,
     complete_graph,
@@ -42,12 +42,15 @@ _NAMED = {
 
 _TERM = re.compile(r"^(\d*)([PCK])(\d+)$")
 
+MAX_EXPRESSION_ORDER = 1000  # forbidden patterns are small; bounds what is allocated
+
 
 def parse_pattern(text: str) -> Graph:
     """Build the disjoint union described by a pattern expression."""
     if not text or not text.strip():
         raise ParseError("empty pattern expression", offset=0)
     parts = []
+    total = 0
     for raw in text.split("+"):
         tok = raw.strip()
         key = tok.lower().replace("-", "").replace("_", "")
@@ -63,6 +66,9 @@ def parse_pattern(text: str) -> Graph:
             raise ParseError(f"multiplier must be positive in {tok!r}")
         if order < 1 or (kind == "C" and order < 3):
             raise ParseError(f"order out of range in {tok!r}")
+        total += count * order
+        if total > MAX_EXPRESSION_ORDER:
+            raise PatternTooLarge(f"pattern exceeds {MAX_EXPRESSION_ORDER} vertices at {tok!r}")
         base = {"P": path_graph, "C": cycle_graph, "K": complete_graph}[kind]
         parts.extend(base(order) for _ in range(count))
     return disjoint_union(parts)

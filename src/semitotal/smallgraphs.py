@@ -29,12 +29,6 @@ def _invariant(g: Graph) -> tuple:
     return (g.n, g.m, tuple(profile))
 
 
-def _isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    return contains_induced(b, a) is not None
-
-
 def canonical_form(g: Graph) -> Graph:
     """Relabel g to minimise its graph6 bitstring over all permutations."""
     n = g.n
@@ -100,9 +94,9 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     for g in connected_graphs(n - 1):
         for mask in range(1, 1 << (n - 1)):
             cand = Graph(n, tuple(r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(g.rows)) + (mask,))
-            key = _invariant(cand)
+            key = _invariant(cand)  # holds n and m, so a copy is an isomorphism
             bucket = buckets.setdefault(key, [])
-            if not any(_isomorphic(cand, rep) for rep in bucket):
+            if not any(contains_induced(rep, cand) is not None for rep in bucket):
                 bucket.append(cand)
     reps = [canonical_form(g) for bucket in buckets.values() for g in bucket]
     reps.sort(key=to_graph6)

@@ -122,19 +122,33 @@ def brute_ct(n, edges, kind, kmax=3):
     return None
 
 
-def brute_induced(gn, gedges, hn, hedges):
-    """Induced-subgraph test by trying every injection."""
+def _injections(gn, hn, within):
+    pool = range(gn) if within is None else sorted(set(within))
+    for combo in combinations(pool, hn):
+        yield from permutations(combo)
+
+
+def brute_induced(gn, gedges, hn, hedges, within=None):
+    """Induced-subgraph test by trying every injection (into within, if given)."""
     gset = {frozenset(e) for e in gedges}
     hset = {frozenset(e) for e in hedges}
-    for combo in combinations(range(gn), hn):
-        for perm in permutations(combo):
-            if all(
-                (frozenset((perm[a], perm[b])) in gset)
-                == (frozenset((a, b)) in hset)
-                for a in range(hn)
-                for b in range(a + 1, hn)
-            ):
-                return True
+    for perm in _injections(gn, hn, within):
+        if all(
+            (frozenset((perm[a], perm[b])) in gset)
+            == (frozenset((a, b)) in hset)
+            for a in range(hn)
+            for b in range(a + 1, hn)
+        ):
+            return True
+    return False
+
+
+def brute_subgraph(gn, gedges, hn, hedges, within=None):
+    """Subgraph test: some injection (into within, if given) keeps every edge."""
+    gset = {frozenset(e) for e in gedges}
+    for perm in _injections(gn, hn, within):
+        if all(frozenset((perm[a], perm[b])) in gset for a, b in hedges):
+            return True
     return False
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from semitotal import (
     ct_exact,
     cycle_graph,
     exists_plus1_sds_with_config,
+    feasible_sets,
     from_graph6,
     has_friendly_triple,
     is_feasible,
@@ -30,6 +33,7 @@ from semitotal import (
     random_connected,
     solve,
     star_graph,
+    to_graph6,
     validate_ct_verdict,
 )
 
@@ -132,6 +136,15 @@ def test_match_st_configuration_hand_case():
     assert match_st_configuration(c6, {0, 2, 4}) is None
 
 
+def test_o3_roles_c_and_f_may_share_a_vertex():
+    # edges 05 14 23 35 45: ab and de are the thick edges, and 0 is two steps
+    # from both b = 4 and e = 3, so it fills roles c and f at once
+    m = match_st_configuration(from_graph6("E@QW"), {0, 1, 2, 3, 4})
+    assert m is not None and m.config is STConfigId.O3
+    assert m.assignment == {"a": 1, "b": 4, "c": 0, "d": 2, "e": 3, "f": 0}
+    assert m.thick_edges == ((1, 4), (2, 3))
+
+
 def test_plus1_sds_configuration_exists_for_c6():
     assert exists_plus1_sds_with_config(cycle_graph(6)) is not None
 
@@ -213,3 +226,23 @@ def test_certificates_always_replay(g):
         assert solve(g, SDS).value == 2
     else:
         _certificate_is_sound(g, SDS, *res)
+
+
+# Frozen configuration matches.  The digest was computed with the
+# role-by-role configuration matcher that the plans on the bitset engine
+# replaced, by running this same loop on that code; the loop covers 1941 sets.
+CONFIG_DIGEST = "f294ab2fef08d357d609ab88189ab5bdd69a4f99de2554f63942d68f2189ecf6"
+
+
+def test_configuration_matches_frozen():
+    digest = hashlib.sha256()
+    for g in iter_connected_graphs(6, min_n=2):
+        for s in feasible_sets(g, SDS, solve(g, SDS).value + 1):
+            m = match_st_configuration(g, s)
+            digest.update(json.dumps([
+                to_graph6(g),
+                list(s),
+                None if m is None else [m.config.value, sorted(m.assignment.items()), m.thick_edges],
+                p4_forces_config(g, s),
+            ]).encode())
+    assert digest.hexdigest() == CONFIG_DIGEST

@@ -1,7 +1,13 @@
+import contextlib
 import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semitotal.cli import main
 from semitotal.reductions import CheckResult
@@ -229,3 +235,78 @@ def test_edge_list_order_above_graph6_maximum_exits_2(capsys, monkeypatch):
     code, report = run_cli(capsys, "solve", "--stdin")
     assert code == 2
     assert report["error"]["type"] == "ParseError"
+
+
+# -- the output contract over arbitrary input ---------------------------
+
+_GRAPHS = ["EhEG", "F?LS_", "A_", "@", "4 3\n0 1\n1 2\n2 3", "5 0", "p 1in3 3 1\n1 2 3"]
+_FLAG_VALUES = {
+    "--graph6": st.one_of(st.sampled_from(_GRAPHS), st.text(max_size=12)),
+    "--kind": st.sampled_from(["dom", "total", "semitotal", "nope"]),
+    "--max-k": st.sampled_from(["-1", "0", "1", "3", "x"]),
+    "--target": st.sampled_from(["tree", "chordal", "clawfree", "2p3free", "none"]),
+    "--ell": st.sampled_from(["-1", "0", "1", "2", "z"]),
+    "--pattern": st.one_of(st.sampled_from(["claw", "P3+2P2+K1", "C4", "Q"]), st.text(max_size=12)),
+    "--suite": st.sampled_from(["thm32", "p5free", "lem43", "nope"]),
+    "--max-n": st.sampled_from(["-2", "0", "2", "3", "12", "q"]),
+    "--seed": st.sampled_from(["-5", "0", "7", "s"]),
+    "--count": st.sampled_from(["-1", "0", "3", "c"]),
+    "--file": st.sampled_from(["{file}", "{dir}", "/no/such/file", ""]),
+    "--sat": st.sampled_from(["{file}", "{dir}", "/no/such/file"]),
+}
+_SWITCHES = ["--stdin", "--all", "--check-certificate", "--help", "-h", "--bogus"]
+_SOURCE = ["--graph6", "--file", "--stdin"]
+_COMMAND_FLAGS = {
+    "solve": _SOURCE + ["--kind", "--all"],
+    "blocker": _SOURCE + ["--kind", "--max-k", "--check-certificate"],
+    "characterize": _SOURCE + ["--check-certificate"],
+    "reduce": _SOURCE + ["--target", "--ell", "--sat"],
+    "classify": ["--pattern"],
+    "verify": ["--suite", "--seed", "--count"],
+    "nope": [],
+}
+_ANY_FLAG = sorted(_FLAG_VALUES) + _SWITCHES
+
+
+@st.composite
+def _argv(draw):
+    """Mostly well-formed calls of each subcommand, with foreign flags mixed in."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command] if draw(st.integers(0, 9)) else []
+    own = _COMMAND_FLAGS[command]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(own if own and draw(st.integers(0, 5)) else _ANY_FLAG))
+        argv.append(flag)
+        if flag in _FLAG_VALUES:
+            argv.append(draw(_FLAG_VALUES[flag]))
+    if command == "verify":  # the last --max-n wins: keep every sweep small
+        argv += ["--max-n", draw(_FLAG_VALUES["--max-n"])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _argv(),
+    st.one_of(st.sampled_from([g.encode() + b"\n" for g in _GRAPHS]), st.binary(max_size=40)),
+    # stdin decodes strictly, or with surrogateescape under the C locale
+    st.sampled_from(["strict", "surrogateescape"]),
+)
+# --help printed plain text, and a pattern of 10^11 vertices ran out of memory
+@example(["--help"], b"", "strict")
+@example(["solve", "-h"], b"", "strict")
+@example(["classify", "--pattern", "P99999999999"], b"", "strict")
+@example(["classify", "--pattern", "99999999999K2"], b"", "strict")
+def test_every_input_gives_one_json_object(argv, data, errors):
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path = os.path.join(tmp_dir, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = [a.format(file=path, dir=tmp_dir) if a in ("{file}", "{dir}") else a for a in argv]
+        out = io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert 0 <= code <= 4
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    assert isinstance(json.loads(lines[0]), dict)

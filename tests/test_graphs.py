@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from semitotal import (
     class_predicates,
     complete_graph,
     components,
+    connected_graphs,
     contains_induced,
     contains_subgraph,
     contract_edges,
@@ -229,6 +232,60 @@ def test_contains_induced_matches_oracle(g, pat):
     got = contains_induced(g, h) is not None
     want = oracles.brute_induced(g.n, g.edges(), h.n, h.edges())
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    connected_graphs_st(min_n=2, max_n=7),
+    st.sampled_from(["P3", "P4", "claw", "C4", "K3", "2P3", "P5", "C5", "P3+P2"]),
+    st.data(),
+)
+def test_matchers_within_match_oracle(g, pat, data):
+    h = parse_pattern(pat)
+    within = data.draw(st.one_of(st.none(), st.sets(st.integers(0, g.n - 1))))
+    allowed = set(range(g.n)) if within is None else within
+    for find, brute, induced in (
+        (contains_induced, oracles.brute_induced, True),
+        (contains_subgraph, oracles.brute_subgraph, False),
+    ):
+        hit = find(g, h, within=within)
+        assert (hit is not None) == brute(g.n, g.edges(), h.n, h.edges(), within)
+        if hit is not None:
+            assert sorted(hit) == list(range(h.n))
+            assert len(set(hit.values())) == h.n and set(hit.values()) <= allowed
+            for a in range(h.n):
+                for b in range(a + 1, h.n):
+                    if h.has_edge(a, b) or induced:
+                        assert g.has_edge(hit[a], hit[b]) == h.has_edge(a, b)
+
+
+def test_within_outside_the_graph_is_invalid_edge():
+    # unchecked, these returned {0: 5}, raised ValueError and raised IndexError
+    for h, within in ((path_graph(1), [5]), (path_graph(1), [-1]), (path_graph(2), [2, 9])):
+        for find in (contains_induced, contains_subgraph):
+            with pytest.raises(InvalidEdge):
+                find(path_graph(3), h, within=within)
+
+
+# Frozen first matches.  The digest was computed with the backtracking
+# matcher that checked the induced condition candidate by candidate, which
+# the bitset engine replaced, by running this same loop on that code.
+MATCHER_DIGEST = "826e755209b608e88384077898767d18e0605837c38cd8a9d48bbcec48d60501"
+
+
+def test_first_matches_frozen():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            for p in ("P4", "claw", "C4", "K3", "2P3", "P5", "C5", "P3+P2", "P4+P2", "P6"):
+                h = parse_pattern(p)
+                digest.update(json.dumps([
+                    to_graph6(g),
+                    p,
+                    sorted((contains_induced(g, h) or {}).items()),
+                    sorted((contains_subgraph(g, h) or {}).items()),
+                ]).encode())
+    assert digest.hexdigest() == MATCHER_DIGEST
 
 
 def test_chordal_hand_cases():
