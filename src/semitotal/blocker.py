@@ -234,9 +234,6 @@ class ConfigMatch:
     assignment: dict[str, int]
     thick_edges: tuple[tuple[int, int], tuple[int, int]]
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self.assignment[r] for r in CONFIG_SPECS[self.config].roles)
-
 
 def _config_plan(spec: _ConfigSpec):
     """Solid lines check adjacency and dashed lines distance exactly two, at

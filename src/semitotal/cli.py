@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import lru_cache
 
 from .errors import (
     FloorError,
@@ -87,7 +88,9 @@ def _add_graph_source(sub):
     sub.add_argument("--stdin", action="store_true", help="read the graph from stdin")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="semitotal",
         description="Semitotal domination, contraction blockers, and the "

@@ -2,10 +2,15 @@
 
 Two engines answer every question.  The branch-and-bound `_Search` over
 vertex bitmasks, with a greedy packing lower bound, minimises (`solve`) and
-decides whether a set of at most k vertices exists (`exists_within`).  The
-one lexicographic sweep, `feasible_sets`, yields the feasible sets of one
-size in `combinations` order; it shares only the feasibility test with the
-search, so it is the independent route.  SEMITOTAL_BUDGET caps both."""
+decides whether a set of at most k vertices exists (`exists_within`).  It
+keeps its cover in rank space, the vertices relabelled by (cover-ball size,
+id), so the bound reads only the uncovered vertices, lowest bit first, and
+stops as soon as it prunes.  Branches take candidates in ascending original
+id, and each candidate's rank-space cover and each distance-2 ball are
+built on first use.  The one lexicographic sweep, `feasible_sets`, yields
+the feasible sets of one size in `combinations` order over `_Instance`
+tables; it shares no tables and no code with the search, so it is the
+independent route.  SEMITOTAL_BUDGET caps both."""
 
 from __future__ import annotations
 
@@ -45,7 +50,8 @@ class SolveResult:
 
 
 class _Instance:
-    """Per-graph mask tables shared by feasibility and search."""
+    """Per-graph mask tables for the feasibility test, the sweep and the
+    blocker's distance tables."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -92,110 +98,145 @@ def is_feasible(g: Graph, kind: DominationKind, d) -> bool:
     return _feasible_mask(_Instance(g), kind, vertex_mask(g, dset))
 
 
-def _greedy_upper(inst: _Instance, kind: DominationKind) -> int:
-    ball = inst.cover_ball(kind)
-    dmask = 0
-    cover = 0
-    while True:
-        uncovered = inst.all & ~cover
-        if kind is DominationKind.DOMINATION:
-            uncovered &= ~dmask
-        if not uncovered:
-            break
-        best_v = -1
-        best_gain = -1
-        for v in range(inst.n):
-            gain = (ball[v] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        dmask |= 1 << best_v
-        cover |= ball[best_v]
-    if kind is DominationKind.SEMITOTAL:
-        for v in list(_bits(dmask)):
-            if not inst.ball2open[v] & dmask:
-                # smallest-id helper inside the distance-2 ball
-                helper = inst.ball2open[v] & ~dmask
-                dmask |= helper & -helper
-    return dmask
-
-
 class _Found(Exception):
     pass
 
 
 class _Search:
-    def __init__(self, inst, kind, budget, deadline, stop_at):
-        self.inst = inst
+    """Branch-and-bound over vertex bitmasks for one graph and kind.
+
+    The cover is kept in rank space: bit r stands for the vertex of place r
+    in the order (cover-ball size, id).  So the uncovered vertices come out
+    lowest bit first in the order the packing bound takes them, and the
+    branch target is the lowest uncovered bit.  The chosen set, the banned
+    candidates and the balls stay in original ids: branches take their
+    candidates in ascending id, and the semitotal repair fixes the lonely
+    member of smallest id, so the walk and the witness do not depend on the
+    ranks.  A candidate's rank-space cover and a vertex's distance-2 ball
+    are built on first use: most searches visit a few nodes, so set-up is
+    what they pay for."""
+
+    def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
+        n = g.n
+        ball = g.rows if kind is DominationKind.TOTAL else tuple(r | 1 << v for v, r in enumerate(g.rows))
+        order = sorted(range(n), key=lambda v: (ball[v].bit_count(), v))
+        rank_bit = [0] * n
+        for r, v in enumerate(order):
+            rank_bit[v] = 1 << r
+        self.rows = g.rows
         self.kind = kind
-        self.ball = inst.cover_ball(kind)
-        self.order = sorted(range(inst.n), key=lambda v: (self.ball[v].bit_count(), v))
+        self.ball = ball
+        self.ball_by_rank = [ball[v] for v in order]
+        self.rank_bit = rank_bit
+        self.covers = [None] * n  # per vertex: the ranks its ball covers
+        self.near = [None] * n  # per vertex: its distance-2 ball, itself excluded
         self.budget = search_budget() if budget is None else budget
         self.deadline = deadline
         self.stop_at = stop_at
         self.nodes = 0
-        self.best = inst.n + 1
-        self.best_mask = None
+        self.all = (1 << n) - 1
+        self.best = n + 1 if stop_at is None else stop_at + 1
+        self.best_mask = 0
 
-    def _tick(self):
+    def _covers(self, c: int) -> int:
+        rank_bit = self.rank_bit
+        mask = self.ball[c]
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= rank_bit[low.bit_length() - 1]
+            mask ^= low
+        self.covers[c] = out
+        return out
+
+    def _near(self, v: int) -> int:
+        rows = self.rows
+        m = rows[v]
+        for w in _bits(rows[v]):
+            m |= rows[w]
+        self.near[v] = m = m & ~(1 << v)
+        return m
+
+    def greedy(self):
+        """Seed the bound: repeatedly take the vertex covering most, ties
+        to the smallest id, then give each lonely semitotal pick the
+        smallest-id partner within distance two."""
+        ball = self.ball
+        dmask = cover = 0
+        while cover != self.all:
+            uncovered = self.all & ~cover
+            gains = [(b & uncovered).bit_count() for b in ball]
+            v = gains.index(max(gains))
+            dmask |= 1 << v
+            cover |= ball[v]
+        if self.kind is DominationKind.SEMITOTAL:
+            for v in list(_bits(dmask)):
+                near = self.near[v] or self._near(v)
+                if not near & dmask:
+                    helper = near & ~dmask
+                    dmask |= helper & -helper
+        self.best = dmask.bit_count()
+        self.best_mask = dmask
+
+    def run(self, dmask: int, cover: int, banned: int, size: int):
         self.nodes += 1
         if self.nodes > self.budget:
             raise ScaleLimit(f"search exceeded {self.budget} nodes")
-        if self.deadline is not None and self.nodes % 256 == 0 and monotonic() > self.deadline:
+        # the clock is read at the first node and then every 256th
+        if self.deadline is not None and self.nodes & 255 == 1 and monotonic() > self.deadline:
             raise ScaleLimit("search deadline exceeded")
+        uncovered = self.all & ~cover
+        if uncovered:
+            limit = self.best - size
+            if limit <= 1:
+                return
+            # greedy packing: uncovered vertices whose candidate sets are
+            # pairwise disjoint each need their own member
+            ball_by_rank = self.ball_by_rank
+            free = ~banned
+            used = cnt = 0
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                b = ball_by_rank[low.bit_length() - 1] & free
+                if not b:
+                    return  # some vertex can no longer be dominated
+                if not b & used:
+                    cnt += 1
+                    if cnt >= limit:
+                        return
+                    used |= b
+                rest ^= low
+            cands = ball_by_rank[(uncovered & -uncovered).bit_length() - 1] & free
+        elif self.kind is DominationKind.SEMITOTAL:
+            for v in _bits(dmask):
+                near = self.near[v] or self._near(v)
+                if not near & dmask:
+                    break
+            else:
+                self._record(dmask, size)
+                return
+            if size + 1 >= self.best:
+                return
+            cands = near & ~dmask & ~banned
+        else:
+            self._record(dmask, size)
+            return
+        covers = self.covers
+        size += 1
+        while cands:
+            low = cands & -cands
+            c = low.bit_length() - 1
+            self.run(dmask | low, cover | (covers[c] or self._covers(c)), banned, size)
+            banned |= low
+            cands ^= low
 
-    def _record(self, dmask: int):
-        size = dmask.bit_count()
+    def _record(self, dmask: int, size: int):
         if size < self.best:
             self.best = size
             self.best_mask = dmask
-            if self.stop_at is not None and self.best <= self.stop_at:
+            if self.stop_at is not None and size <= self.stop_at:
                 raise _Found
-
-    def _packing_bound(self, uncovered: int, banned: int) -> int:
-        used = 0
-        cnt = 0
-        for v in self.order:
-            if not uncovered >> v & 1:
-                continue
-            b = self.ball[v] & ~banned
-            if b == 0:
-                return self.inst.n + 1  # some vertex can no longer be dominated
-            if not b & used:
-                cnt += 1
-                used |= b
-        return cnt
-
-    def run(self, dmask: int, cover: int, banned: int):
-        self._tick()
-        size = dmask.bit_count()
-        uncovered = self.inst.all & ~cover
-        if self.kind is DominationKind.DOMINATION:
-            uncovered &= ~dmask
-        if uncovered:
-            if size + max(1, self._packing_bound(uncovered, banned)) >= self.best:
-                return
-            target = next(v for v in self.order if uncovered >> v & 1)
-            local_ban = banned
-            for c in _bits(self.ball[target] & ~local_ban):
-                self.run(dmask | 1 << c, cover | self.ball[c], local_ban)
-                local_ban |= 1 << c
-            return
-        if self.kind is DominationKind.SEMITOTAL:
-            lonely = -1
-            for v in _bits(dmask):
-                if not self.inst.ball2open[v] & dmask:
-                    lonely = v
-                    break
-            if lonely >= 0:
-                if size + 1 >= self.best:
-                    return
-                local_ban = banned
-                for c in _bits(self.inst.ball2open[lonely] & ~dmask & ~local_ban):
-                    self.run(dmask | 1 << c, cover | self.ball[c], local_ban)
-                    local_ban |= 1 << c
-                return
-        self._record(dmask)
 
 
 def _check_solvable(g: Graph, kind: DominationKind):
@@ -214,12 +255,9 @@ def solve(
 ) -> SolveResult:
     """Minimum (semi)total/plain dominating set via branch-and-bound."""
     _check_solvable(g, kind)
-    inst = _Instance(g)
-    search = _Search(inst, kind, budget, deadline, stop_at=None)
-    seed = _greedy_upper(inst, kind)
-    search.best = seed.bit_count()
-    search.best_mask = seed
-    search.run(0, 0, 0)
+    search = _Search(g, kind, budget, deadline, stop_at=None)
+    search.greedy()
+    search.run(0, 0, 0, 0)
     return SolveResult(kind, search.best, frozenset(_bits(search.best_mask)))
 
 
@@ -235,10 +273,9 @@ def exists_within(
     _check_solvable(g, kind)
     if k <= 0:
         return False
-    search = _Search(_Instance(g), kind, budget, deadline, stop_at=k)
-    search.best = k + 1
+    search = _Search(g, kind, budget, deadline, stop_at=k)
     try:
-        search.run(0, 0, 0)
+        search.run(0, 0, 0, 0)
     except _Found:
         return True
     return search.best <= k

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -144,6 +145,25 @@ def test_reduce_sat_target(capsys, tmp_path):
     assert report["input"]["variables"] == 3
 
 
+def test_oversized_hosts_exit_2_at_once(capsys, tmp_path):
+    # the chordal and SAT calls once ran for minutes and exhausted memory
+    sat = tmp_path / "huge.sat"
+    sat.write_text("p 1in3 100000000 0\n", encoding="ascii")
+    path = tmp_path / "p400.txt"  # a tree host of 4400 vertices
+    path.write_text("400 399\n" + "".join(f"{v} {v + 1}\n" for v in range(399)), encoding="ascii")
+    for argv in (
+        ["reduce", "--graph6", "A_", "--target", "chordal", "--ell", "100000000"],
+        ["reduce", "--target", "clawfree", "--sat", str(sat)],
+        ["reduce", "--target", "2p3free", "--sat", str(sat)],
+        ["reduce", "--file", str(path), "--target", "tree"],
+    ):
+        started = time.monotonic()
+        code, report = run_cli(capsys, *argv)
+        assert time.monotonic() - started < 5
+        assert code == 2
+        assert report["error"]["type"] == "InvalidInstance"
+
+
 def test_stdin_edge_list(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("4 3\n0 1\n1 2\n2 3\n"))
     code, report = run_cli(capsys, "solve", "--stdin", "--kind", "dom")
@@ -187,6 +207,24 @@ def test_scale_limit_exits_4(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
+
+
+def test_many_calls_in_one_process(capsys):
+    # the parser is built once per process and reused by every call
+    for argv, code, key, want in (
+        (["solve", "--graph6", C6], 0, "results", {"kind": "semitotal", "value": 3}),
+        (["solve", "--kind", "nope", "--graph6", C6], 1, "error", {"type": "usage"}),
+        (["--help"], 0, "help", "semitotal"),
+        (["solve", "--graph6", C6, "--kind", "total"], 0, "results", {"kind": "total", "value": 4}),
+    ):
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        got = json.loads(lines[0])[key]
+        if isinstance(want, dict):
+            assert want.items() <= got.items()
+        else:
+            assert want in got
 
 
 def test_reports_deterministic_modulo_timing(capsys):

@@ -1,5 +1,9 @@
+import hashlib
+import json
+import math
 from itertools import combinations
 from math import comb
+from time import monotonic
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +28,7 @@ from semitotal import (
 )
 from semitotal.domination import DEFAULT_BUDGET, private_neighbours, search_budget
 from semitotal.errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
-from semitotal.graphs import Graph, random_connected
+from semitotal.graphs import Graph, random_connected, to_graph6
 
 import oracles
 from conftest import connected_graphs_st
@@ -232,3 +236,46 @@ def test_all_min_sds_independent():
         if any(c4.has_edge(u, v) for u in d for v in d if u < v)
     }
     assert all_min_sds_independent(c4) == (not has_edge)
+
+
+def _search_answers():
+    """For every connected graph on 2..7 vertices and 40 seeded graphs of
+    order 36..42, each kind: the value and sorted witness from `solve`, then
+    the `exists_within` answers for j = 1..value."""
+    graphs = list(iter_connected_graphs(7, min_n=2))
+    for i in range(40):
+        n = 36 + i % 7
+        graphs.append(random_connected(n, 1.5 * math.log(n) / n, 1000 + i))
+    for g in graphs:
+        for kind in KINDS:
+            res = solve(g, kind)
+            yield [
+                to_graph6(g),
+                kind.value,
+                res.value,
+                sorted(res.witness),
+                [exists_within(g, kind, j) for j in range(1, res.value + 1)],
+            ]
+
+
+# Computed by running this same loop on the search that walked every vertex
+# in bound order for each packing bound, which the rank-space search replaced.
+SEARCH_DIGEST = "ca1c7e4d06b8879c31186e07ce13cdc768d8a9eb4beee775c612803b173d3beb"
+
+
+def test_search_answers_frozen():
+    digest = hashlib.sha256()
+    for answer in _search_answers():
+        digest.update(json.dumps(answer).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
+def test_past_deadline_stops_both_searches():
+    # the clock is read at the first node, so even a short search stops
+    past = monotonic() - 1
+    for g in (cycle_graph(6), random_connected(40, 1.5 * math.log(40) / 40, 7)):
+        for kind in KINDS:
+            with pytest.raises(ScaleLimit):
+                solve(g, kind, deadline=past)
+            with pytest.raises(ScaleLimit):
+                exists_within(g, kind, solve(g, kind).value - 1, deadline=past)
