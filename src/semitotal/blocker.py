@@ -6,7 +6,9 @@ most 3; the value is pinned down by two structures found inside small
 dominating sets: friendly triples (ct = 1) and the seven two-contraction
 configurations O1..O7 (ct = 2), with a shortest-path contraction covering
 the remainder (ct = 3).  Plain and total domination classifiers for the
-same question are included for cross-checking.
+same question are included for cross-checking.  Every value comes from
+`domination.solve`; the searches, the sweeps and the contraction scan all
+stop at SEMITOTAL_BUDGET.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .domination import (
     is_feasible,
     search_budget,
     solve,
-    solve_by_enumeration,
 )
 
 _FLOOR = {
@@ -47,13 +48,6 @@ _FLOOR = {
     DominationKind.TOTAL: 2,
     DominationKind.SEMITOTAL: 2,
 }
-
-
-def _exact_value(g: Graph, kind: DominationKind) -> int:
-    # enumeration keeps this oracle independent of the branch-and-bound
-    if g.n <= 12:
-        return solve_by_enumeration(g, kind).value
-    return solve(g, kind).value
 
 
 @dataclass(frozen=True)
@@ -68,20 +62,19 @@ def ct_exact(
     g: Graph,
     kind: DominationKind,
     kmax: int = 3,
-    *,
-    budget: int | None = None,
 ) -> tuple[int, ContractionCertificate] | None:
     """Smallest k <= kmax whose k edge contractions lower the parameter.
 
     Scans edge subsets by size then lexicographic order, so the returned
-    certificate is reproducible.  None when no k <= kmax works.
+    certificate is reproducible.  None when no k <= kmax works; ScaleLimit
+    after search_budget() contractions.
     """
     if not is_connected(g):
         raise Infeasible("ct_exact requires a connected graph")
-    base = _exact_value(g, kind)
+    base = solve(g, kind).value
     if base <= _FLOOR[kind]:
         return None
-    cap = search_budget() if budget is None else budget
+    cap = search_budget()
     edges = sorted(g.edges())
     visited = 0
     for k in range(1, kmax + 1):
@@ -93,7 +86,7 @@ def ct_exact(
             if contracted.n < 2 and kind is not DominationKind.DOMINATION:
                 continue
             if exists_within(contracted, kind, base - 1):
-                after = _exact_value(contracted, kind)
+                after = solve(contracted, kind).value
                 return k, ContractionCertificate(combo, base, after, vmap)
     return None
 
@@ -138,22 +131,20 @@ def _triple_in(tables, dmask: int) -> tuple[int, int, int] | None:
     return embed(tables, *_TRIPLE, (dmask,) * 3)
 
 
-def _first_carrying(g: Graph, tables, k: int, find, budget: int | None):
+def _first_carrying(g: Graph, tables, k: int, find):
     """First semitotal dominating set of size k, with its hit, on which
     find(tables, mask of the set) hits; None if there is none."""
-    for d in feasible_sets(g, DominationKind.SEMITOTAL, k, budget=budget):
+    for d in feasible_sets(g, DominationKind.SEMITOTAL, k):
         hit = find(tables, vertex_mask(g, d))
         if hit is not None:
             return frozenset(d), hit
     return None
 
 
-def min_sds_has_friendly_triple(
-    g: Graph, *, budget: int | None = None
-) -> tuple[frozenset[int], tuple[int, int, int]] | None:
+def min_sds_has_friendly_triple(g: Graph) -> tuple[frozenset[int], tuple[int, int, int]] | None:
     """First minimum semitotal dominating set carrying a friendly triple."""
-    value = solve(g, DominationKind.SEMITOTAL, budget=budget).value
-    return _first_carrying(g, _tables(g), value, _triple_in, budget)
+    value = solve(g, DominationKind.SEMITOTAL).value
+    return _first_carrying(g, _tables(g), value, _triple_in)
 
 
 # -- the seven two-contraction configurations ----------------------------
@@ -275,12 +266,10 @@ def _config_in(tables, smask: int, cids=tuple(STConfigId)) -> ConfigMatch | None
     return None
 
 
-def exists_plus1_sds_with_config(
-    g: Graph, *, budget: int | None = None
-) -> tuple[frozenset[int], ConfigMatch] | None:
+def exists_plus1_sds_with_config(g: Graph) -> tuple[frozenset[int], ConfigMatch] | None:
     """Search all semitotal dominating sets of size value+1 for a config."""
-    value = _exact_value(g, DominationKind.SEMITOTAL)
-    return _first_carrying(g, _tables(g), value + 1, _config_in, budget)
+    value = solve(g, DominationKind.SEMITOTAL).value
+    return _first_carrying(g, _tables(g), value + 1, _config_in)
 
 
 # -- shortest-path fallback certificate ----------------------------------
@@ -297,7 +286,7 @@ def _shortest_path(g: Graph, src: int, dst: int) -> list[int]:
     return path
 
 
-def path_contraction_certificate(g: Graph, *, budget: int | None = None) -> ContractionCertificate:
+def path_contraction_certificate(g: Graph) -> ContractionCertificate:
     """Contract a shortest path between members of a minimum semitotal
     dominating set; at most three contractions always suffice.
 
@@ -305,14 +294,14 @@ def path_contraction_certificate(g: Graph, *, budget: int | None = None) -> Cont
     at distance <= 2, then the member w closest to {u, v} (ties: smallest
     id) and contract a shortest path from w to the closer of u, v.
     """
-    value = _exact_value(g, DominationKind.SEMITOTAL)
-    return _path_certificate(g, _tables(g), value, budget)
+    value = solve(g, DominationKind.SEMITOTAL).value
+    return _path_certificate(g, _tables(g), value)
 
 
-def _path_certificate(g: Graph, tables, value: int, budget: int | None) -> ContractionCertificate:
+def _path_certificate(g: Graph, tables, value: int) -> ContractionCertificate:
     if value < 3:
         raise FloorError(f"needs value >= 3, got {value}")
-    d = next(feasible_sets(g, DominationKind.SEMITOTAL, value, budget=budget))
+    d = next(feasible_sets(g, DominationKind.SEMITOTAL, value))
     # the first pair in lex order is also the first with u < v
     pair = u, v = embed(tables, *_PAIR, (vertex_mask(g, d),) * 2)
     du = _bfs_dist(g.rows, g.n, u)
@@ -322,7 +311,7 @@ def _path_certificate(g: Graph, tables, value: int, budget: int | None) -> Contr
     path = _shortest_path(g, w, target)
     edges = tuple(normalize_edge(a, b) for a, b in zip(path, path[1:]))
     contracted, vmap = contract_edges(g, edges)
-    after = _exact_value(contracted, DominationKind.SEMITOTAL)
+    after = solve(contracted, DominationKind.SEMITOTAL).value
     return ContractionCertificate(edges, value, after, vmap)
 
 
@@ -347,29 +336,29 @@ class CtVerdict:
     certificate: ContractionCertificate | None = None
 
 
-def characterize_ct(g: Graph, *, budget: int | None = None) -> CtVerdict:
+def characterize_ct(g: Graph) -> CtVerdict:
     """Determine ct for semitotal domination together with its witness."""
     if not is_connected(g):
         raise Infeasible("characterize_ct requires a connected graph")
-    value = _exact_value(g, DominationKind.SEMITOTAL)
+    value = solve(g, DominationKind.SEMITOTAL).value
     if value == 2:
         return CtVerdict(value, None, CtMechanism.FLOOR)
     tables = _tables(g)
-    hit1 = _first_carrying(g, tables, value, _triple_in, budget)
+    hit1 = _first_carrying(g, tables, value, _triple_in)
     if hit1 is not None:
         d, triple = hit1
         return CtVerdict(value, 1, CtMechanism.FRIENDLY_TRIPLE, sds=d, triple=triple)
-    hit2 = _first_carrying(g, tables, value + 1, _config_in, budget)
+    hit2 = _first_carrying(g, tables, value + 1, _config_in)
     if hit2 is not None:
         s, match = hit2
         return CtVerdict(value, 2, CtMechanism.ST_CONFIGURATION, sds=s, match=match)
-    cert = _path_certificate(g, tables, value, budget)
+    cert = _path_certificate(g, tables, value)
     return CtVerdict(value, 3, CtMechanism.PATH_CONTRACTION, certificate=cert)
 
 
 def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
     """Re-check a verdict's evidence directly against the graph."""
-    value = _exact_value(g, DominationKind.SEMITOTAL)
+    value = solve(g, DominationKind.SEMITOTAL).value
     if verdict.value != value:
         return False
     if verdict.mechanism is CtMechanism.FLOOR:
@@ -384,7 +373,7 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
         ):
             return False
         contracted, _ = contract_edges(g, [verdict.triple[:2]])
-        return _exact_value(contracted, DominationKind.SEMITOTAL) < value
+        return solve(contracted, DominationKind.SEMITOTAL).value < value
     if verdict.mechanism is CtMechanism.ST_CONFIGURATION:
         if verdict.k != 2 or verdict.sds is None or verdict.match is None:
             return False
@@ -400,7 +389,7 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
         ):
             return False
         contracted, _ = contract_edges(g, verdict.match.thick_edges)
-        return _exact_value(contracted, DominationKind.SEMITOTAL) < value
+        return solve(contracted, DominationKind.SEMITOTAL).value < value
     if verdict.mechanism is CtMechanism.PATH_CONTRACTION:
         cert = verdict.certificate
         if verdict.k != 3 or cert is None:
@@ -408,7 +397,7 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
         if not 1 <= len(cert.edges) <= 3 or cert.value_before != value:
             return False
         contracted, _ = contract_edges(g, cert.edges)
-        after = _exact_value(contracted, DominationKind.SEMITOTAL)
+        after = solve(contracted, DominationKind.SEMITOTAL).value
         return after == cert.value_after and after < value
     return False
 
@@ -416,15 +405,15 @@ def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
 # -- prior classifications for plain and total domination ---------------
 
 
-def classify_ct_domination(g: Graph, *, budget: int | None = None) -> int:
+def classify_ct_domination(g: Graph) -> int:
     """1, 2 or 3 contractions needed to lower plain domination."""
-    value = _exact_value(g, DominationKind.DOMINATION)
+    value = solve(g, DominationKind.DOMINATION).value
     if value < 2:
         raise FloorError("plain domination at its floor cannot decrease")
-    for d in feasible_sets(g, DominationKind.DOMINATION, value, budget=budget):
+    for d in feasible_sets(g, DominationKind.DOMINATION, value):
         if any(inner_degrees(g, d)):
             return 1
-    for s in feasible_sets(g, DominationKind.DOMINATION, value + 1, budget=budget):
+    for s in feasible_sets(g, DominationKind.DOMINATION, value + 1):
         if sum(inner_degrees(g, s)) >= 4:  # two edges inside the set
             return 2
     return 3
@@ -435,15 +424,15 @@ _CLAW = star_graph(4)
 _2P3 = parse_pattern("2P3")
 
 
-def classify_ct_total(g: Graph, *, budget: int | None = None) -> int:
+def classify_ct_total(g: Graph) -> int:
     """1, 2 or 3 contractions needed to lower total domination."""
-    value = _exact_value(g, DominationKind.TOTAL)
+    value = solve(g, DominationKind.TOTAL).value
     if value < 3:
         raise FloorError("total domination below 3 cannot decrease")
-    for d in feasible_sets(g, DominationKind.TOTAL, value, budget=budget):
+    for d in feasible_sets(g, DominationKind.TOTAL, value):
         if max(inner_degrees(g, d)) >= 2:
             return 1  # a path on 3 vertices inside the set
-    for s in feasible_sets(g, DominationKind.TOTAL, value + 1, budget=budget):
+    for s in feasible_sets(g, DominationKind.TOTAL, value + 1):
         if any(
             contains_subgraph(g, pat, within=s) is not None
             for pat in (_P4, _CLAW, _2P3)

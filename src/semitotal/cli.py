@@ -300,6 +300,11 @@ def _cmd_classify(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
+    # a sweep over nothing would report success without checking anything
+    if args.max_n is not None and args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     checks = run_suite(
         args.suite, max_n=args.max_n, seed=args.seed, count=args.count
     )

@@ -1,16 +1,20 @@
 """Exact solvers for domination, total domination and semitotal domination.
 
-Two engines answer every question.  The branch-and-bound `_Search` over
-vertex bitmasks, with a greedy packing lower bound, minimises (`solve`) and
-decides whether a set of at most k vertices exists (`exists_within`).  It
-keeps its cover in rank space, the vertices relabelled by (cover-ball size,
-id), so the bound reads only the uncovered vertices, lowest bit first, and
-stops as soon as it prunes.  Branches take candidates in ascending original
-id, and each candidate's rank-space cover and each distance-2 ball are
-built on first use.  The one lexicographic sweep, `feasible_sets`, yields
-the feasible sets of one size in `combinations` order over `_Instance`
-tables; it shares no tables and no code with the search, so it is the
-independent route.  SEMITOTAL_BUDGET caps both."""
+Every value and every decision comes from one engine, the branch-and-bound
+`_Search` over vertex bitmasks with a greedy packing lower bound: it
+minimises (`solve`) and decides whether a set of at most k vertices exists
+(`exists_within`).  It keeps its cover in rank space, the vertices
+relabelled by (cover-ball size, id), so the bound reads only the uncovered
+vertices, lowest bit first, and stops as soon as it prunes.  Branches take
+candidates in ascending original id, and each candidate's rank-space cover
+and each distance-2 ball are built on first use.  The one lexicographic
+sweep, `feasible_sets`, lists the feasible sets of one size in
+`combinations` order over `_Instance` tables, for callers that need every
+set or the first one carrying some structure.  It shares no tables and no
+code with the search, so `solve_by_enumeration`, its smallest-size scan,
+is the independent reference the tests hold `solve` to; nothing in the
+package calls it.  SEMITOTAL_BUDGET caps the nodes of every search and the
+C(n, k) subsets of every sweep."""
 
 from __future__ import annotations
 

@@ -111,12 +111,16 @@ def _p3_plus(p: int) -> Graph:
 
 
 def find_A(g: Graph, k: int) -> frozenset[int] | None:
-    """Lexicographically first vertex set inducing a P3 plus k-1 disjoint edges."""
+    """Lexicographically first vertex set inducing a P3 plus k-1 disjoint
+    edges.  ScaleLimit when C(n, |pattern|) exceeds search_budget()."""
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
     pattern = _p3_plus(k - 1)
     if pattern.n > g.n:
         return None
+    cap = search_budget()
+    if comb(g.n, pattern.n) > cap:
+        raise ScaleLimit(f"C({g.n},{pattern.n}) subsets exceed the {cap} budget")
     for combo in combinations(range(g.n), pattern.n):
         if contains_induced(g, pattern, within=combo) is not None:
             return frozenset(combo)
@@ -192,15 +196,15 @@ def sds_size_threshold(k: int, a: int) -> int:
     return (k + 1) * (a + 2) + k * (1 + 2 * (k + 1)) + 5 * a - 4
 
 
-def _min_ds_has_edge(g: Graph, *, budget: int | None = None) -> bool:
+def _min_ds_has_edge(g: Graph) -> bool:
     """One contraction lowers plain domination iff some minimum dominating
     set spans an edge."""
-    value = solve(g, DominationKind.DOMINATION, budget=budget).value
-    sets = feasible_sets(g, DominationKind.DOMINATION, value, budget=budget)
+    value = solve(g, DominationKind.DOMINATION).value
+    sets = feasible_sets(g, DominationKind.DOMINATION, value)
     return any(any(inner_degrees(g, d)) for d in sets)
 
 
-def ec1_gt2_p3kp2free(g: Graph, k: int, *, budget: int | None = None) -> bool:
+def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
     """One contraction lowers the semitotal value of a connected P3+kP2-free
     graph.
 
@@ -216,7 +220,7 @@ def ec1_gt2_p3kp2free(g: Graph, k: int, *, budget: int | None = None) -> bool:
     if g.n < 2:
         raise Infeasible("semitotal domination needs at least two vertices")
     # value 2 is the floor; no contraction can help
-    if exists_within(g, DominationKind.SEMITOTAL, 2, budget=budget):
+    if exists_within(g, DominationKind.SEMITOTAL, 2):
         return False
     while k >= 1:
         anchor = find_A(g, k)
@@ -228,26 +232,26 @@ def ec1_gt2_p3kp2free(g: Graph, k: int, *, budget: int | None = None) -> bool:
         return False
     part = abc_partition(g, anchor, k)
     if part.R:
-        return _min_ds_has_edge(g, budget=budget)
+        return _min_ds_has_edge(g)
     bound = sds_size_threshold(k, len(anchor))
-    if not exists_within(g, DominationKind.SEMITOTAL, bound, budget=budget):
+    if not exists_within(g, DominationKind.SEMITOTAL, bound):
         return True
-    return min_sds_has_friendly_triple(g, budget=budget) is not None
+    return min_sds_has_friendly_triple(g) is not None
 
 
-def _decide_bounded(g: Graph, q: int, *, budget: int | None = None) -> bool:
+def _decide_bounded(g: Graph, q: int) -> bool:
     """Exact answer once the semitotal value is known to be at most q."""
-    result = solve(g, DominationKind.SEMITOTAL, budget=budget)
+    result = solve(g, DominationKind.SEMITOTAL)
     if result.value > q:
         raise PreconditionViolated(
             f"semitotal value {result.value} exceeds the containment bound {q}"
         )
     if result.value == 2:
         return False
-    return min_sds_has_friendly_triple(g, budget=budget) is not None
+    return min_sds_has_friendly_triple(g) is not None
 
 
-def poly_dispatch(g: Graph, h: Graph, *, budget: int | None = None) -> bool:
+def poly_dispatch(g: Graph, h: Graph) -> bool:
     """Decide the one-contraction question for an h-free graph with h in a
     tractable family.
 
@@ -269,11 +273,11 @@ def poly_dispatch(g: Graph, h: Graph, *, budget: int | None = None) -> bool:
         kept = [v for v in range(h.n) if v != isolated[-1]]
         trimmed, _ = induced_subgraph(h, kept)
         if is_h_free(g, trimmed):
-            return poly_dispatch(g, trimmed, budget=budget)
-        return _decide_bounded(g, 2 * trimmed.n, budget=budget)
+            return poly_dispatch(g, trimmed)
+        return _decide_bounded(g, 2 * trimmed.n)
     sizes = sorted((len(c) for c in components(h)), reverse=True)
     if sizes[0] >= 4:
         return ec1_gt2_p5free(g)
     if sizes[0] == 3:
-        return ec1_gt2_p3kp2free(g, max(sizes.count(2), 1), budget=budget)
-    return ec1_gt2_p3kp2free(g, max(len(sizes) - 1, 1), budget=budget)
+        return ec1_gt2_p3kp2free(g, max(sizes.count(2), 1))
+    return ec1_gt2_p3kp2free(g, max(len(sizes) - 1, 1))

@@ -12,8 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Infeasible, InvalidInstance, ParseError, ScaleLimit
-from .graphs import Graph, induced_subgraph, is_connected
+from .graphs import (
+    Graph,
+    contains_induced,
+    induced_subgraph,
+    is_chordal,
+    is_connected,
+    path_graph,
+    star_graph,
+)
 from .domination import DominationKind, solve
+from .patterns import parse_pattern
 
 
 # -- 1-in-3 SAT instances ------------------------------------------------
@@ -519,76 +528,56 @@ def _check(name, cond, detail="") -> CheckResult:
     return CheckResult(name, "pass" if cond else "fail", detail)
 
 
-def validate_reduction(
-    out: ReductionOutput,
-    *,
-    budget: int | None = None,
-    deadline: float | None = None,
-) -> list[CheckResult]:
+def validate_reduction(out: ReductionOutput, *, budget: int | None = None) -> list[CheckResult]:
     """Re-check structure and, at desk scale, the parameter identity."""
-    from .graphs import contains_induced
-    from .patterns import parse_pattern
-    from . import patterns
-
-    checks: list[CheckResult] = []
     g = out.graph
-    checks.append(_check("labels-total-injective",
-                         len(out.labels) == g.n and len(set(out.labels.values())) == g.n))
+    checks = [_check("labels-total-injective",
+                     len(out.labels) == g.n and len(set(out.labels.values())) == g.n)]
     if out.kind == "tree":
-        src = out.source_graph
-        checks.append(_check("order", g.n == 11 * src.n, f"order {g.n}"))
-        try:
-            left = solve(g, DominationKind.SEMITOTAL, budget=budget, deadline=deadline).value
-            right = solve(src, DominationKind.DOMINATION).value + out.meta["gamma_t2_offset"]
-            checks.append(_check("identity", left == right, f"{left} vs {right}"))
-        except ScaleLimit as exc:
-            checks.append(CheckResult("identity", "skipped", str(exc)))
+        checks.append(_check("order", g.n == 11 * out.source_graph.n, f"order {g.n}"))
     elif out.kind == "chordal":
-        src, ell = out.source_graph, out.ell
-        checks.append(_check("order", g.n == src.n * (ell + 1) + ell + 2, f"order {g.n}"))
-        from .graphs import class_predicates
-
-        preds = class_predicates(g)
-        checks.append(_check("chordal", preds.chordal))
-        checks.append(_check("p6-free", contains_induced(g, patterns.path_graph(6)) is None))
-        checks.append(_check("p4p2-free", contains_induced(g, parse_pattern("P4+P2")) is None))
-        try:
-            left = solve(g, DominationKind.SEMITOTAL, budget=budget, deadline=deadline).value
-            right = min(solve(src, DominationKind.DOMINATION).value + 1, ell + 1)
-            checks.append(_check("identity", left == right, f"{left} vs {right}"))
-        except ScaleLimit as exc:
-            checks.append(CheckResult("identity", "skipped", str(exc)))
+        order = out.source_graph.n * (out.ell + 1) + out.ell + 2
+        checks += [
+            _check("order", g.n == order, f"order {g.n}"),
+            _check("chordal", is_chordal(g)),
+            _check("p6-free", contains_induced(g, path_graph(6)) is None),
+            _check("p4p2-free", contains_induced(g, parse_pattern("P4+P2")) is None),
+        ]
     elif out.kind == "clawfree":
-        sat = out.source_sat
-        nv, nc = sat.num_vars, len(sat.clauses)
+        nv, nc = out.source_sat.num_vars, len(out.source_sat.clauses)
         checks.append(_check("order", g.n == 41 * nv + 10 * nc, f"order {g.n}"))
-        checks.append(_check("claw-free", contains_induced(g, patterns.star_graph(4)) is None))
-        try:
-            target = out.meta["gamma_t2_target"]
-            value = solve(g, DominationKind.SEMITOTAL, budget=budget, deadline=deadline).value
-            sat_ok = brute_1in3(sat) is not None
-            checks.append(_check(
-                "identity",
-                (value == target) == sat_ok,
-                f"value {value}, target {target}, satisfiable {sat_ok}",
-            ))
-        except ScaleLimit as exc:
-            checks.append(CheckResult("identity", "skipped", str(exc)))
+        checks.append(_check("claw-free", contains_induced(g, star_graph(4)) is None))
     elif out.kind == "2p3free":
-        sat = out.source_sat
-        nv, nc = sat.num_vars, len(sat.clauses)
+        nv, nc = out.source_sat.num_vars, len(out.source_sat.clauses)
         checks.append(_check("order", g.n == 3 * nv + 5 * nc, f"order {g.n}"))
         checks.append(_check("2p3-free", contains_induced(g, parse_pattern("2P3")) is None))
-        try:
-            value = solve(g, DominationKind.SEMITOTAL, budget=budget, deadline=deadline).value
-            sat_ok = brute_1in3(sat) is not None
-            checks.append(_check(
-                "identity",
-                (value == nv) == sat_ok,
-                f"value {value}, vars {nv}, satisfiable {sat_ok}",
-            ))
-        except ScaleLimit as exc:
-            checks.append(CheckResult("identity", "skipped", str(exc)))
     else:
         checks.append(CheckResult("kind", "fail", f"unknown kind {out.kind}"))
+        return checks
+    try:
+        checks.append(_identity(out, solve(g, DominationKind.SEMITOTAL, budget=budget).value))
+    except ScaleLimit as exc:
+        checks.append(CheckResult("identity", "skipped", str(exc)))
     return checks
+
+
+def _identity(out: ReductionOutput, value: int) -> CheckResult:
+    """The host's semitotal value against what the source predicts."""
+    if out.kind in ("tree", "chordal"):
+        dom = solve(out.source_graph, DominationKind.DOMINATION).value
+        if out.kind == "tree":
+            right = dom + out.meta["gamma_t2_offset"]
+        else:
+            right = min(dom + 1, out.ell + 1)
+        return _check("identity", value == right, f"{value} vs {right}")
+    # SAT hosts: the value meets the target iff the instance is satisfiable
+    sat_ok = brute_1in3(out.source_sat) is not None
+    if out.kind == "clawfree":
+        target, detail = out.meta["gamma_t2_target"], "target"
+    else:
+        target, detail = out.source_sat.num_vars, "vars"
+    return _check(
+        "identity",
+        (value == target) == sat_ok,
+        f"value {value}, {detail} {target}, satisfiable {sat_ok}",
+    )

@@ -1,7 +1,6 @@
 import os
 import sys
 
-import pytest
 from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -9,22 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from semitotal import random_connected
 
 DEEP = os.environ.get("SEMITOTAL_DEEP") == "1"
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "deep: exhaustive order-8 contraction sweeps, enable with SEMITOTAL_DEEP=1",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if DEEP:
-        return
-    skip = pytest.mark.skip(reason="set SEMITOTAL_DEEP=1 for the order-8 sweep")
-    for item in items:
-        if "deep" in item.keywords:
-            item.add_marker(skip)
 
 
 @st.composite

@@ -36,6 +36,7 @@ from semitotal import (
     to_graph6,
     validate_ct_verdict,
 )
+from semitotal.errors import FloorError, ScaleLimit
 
 import oracles
 from conftest import connected_graphs_st
@@ -246,3 +247,54 @@ def test_configuration_matches_frozen():
                 p4_forces_config(g, s),
             ]).encode())
     assert digest.hexdigest() == CONFIG_DIGEST
+
+
+# Frozen blocker answers over every connected graph on 2..7 vertices: the
+# characterize_ct verdict, the ct_exact certificate for each kind and both
+# variant classifiers.  The digest was computed by running this same loop on
+# the code that still took n <= 12 values from the subset sweep.
+BLOCKER_DIGEST = "3fa55f717bb24e047ed841c5b8396fc5f836ca03dbb3bc3bafc76e158fbc6959"
+
+
+def _cert(c):
+    if c is None:
+        return None
+    return [c.edges, c.value_before, c.value_after, sorted(c.vertex_map.items())]
+
+
+def _classify(fn, g):
+    try:
+        return fn(g)
+    except FloorError:
+        return "floor"
+
+
+def test_blocker_answers_frozen():
+    digest = hashlib.sha256()
+    for g in iter_connected_graphs(7, min_n=2):
+        v = characterize_ct(g)
+        m = v.match
+        scans = [ct_exact(g, kind) for kind in (DOM, TOT, SDS)]
+        digest.update(json.dumps([
+            to_graph6(g),
+            v.value,
+            v.k,
+            v.mechanism.value,
+            None if v.sds is None else sorted(v.sds),
+            v.triple,
+            None if m is None else [m.config.value, sorted(m.assignment.items()), m.thick_edges],
+            _cert(v.certificate),
+            [None if r is None else [r[0], _cert(r[1])] for r in scans],
+            _classify(classify_ct_domination, g),
+            _classify(classify_ct_total, g),
+        ]).encode())
+    assert digest.hexdigest() == BLOCKER_DIGEST
+
+
+def test_blocker_honours_the_search_budget(monkeypatch):
+    # every value comes from the search, which stops at SEMITOTAL_BUDGET
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1")
+    with pytest.raises(ScaleLimit):
+        characterize_ct(cycle_graph(9))
+    with pytest.raises(ScaleLimit):
+        ct_exact(cycle_graph(9), SDS)

@@ -268,6 +268,15 @@ def test_blocker_max_k_below_one_is_a_usage_error(capsys):
         assert report["error"]["type"] == "usage"
 
 
+def test_verify_empty_sweep_is_a_usage_error(capsys):
+    # a verification that checks nothing must not report success
+    for flag, value in (("--max-n", "1"), ("--max-n", "0"), ("--count", "0"), ("--count", "-5")):
+        code, report = run_cli(capsys, "verify", "--suite", "thm32", flag, value)
+        assert code == 1, (flag, value)
+        assert report["error"]["type"] == "usage"
+        assert flag in report["error"]["message"]
+
+
 def test_edge_list_order_above_graph6_maximum_exits_2(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("258048 0\n"))
     code, report = run_cli(capsys, "solve", "--stdin")

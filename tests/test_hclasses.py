@@ -16,7 +16,7 @@ from semitotal import (
     sds_size_threshold,
     star_graph,
 )
-from semitotal.errors import Infeasible, PreconditionViolated
+from semitotal.errors import Infeasible, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
 from semitotal.hclasses import ABCPartition, _min_ds_has_edge, abc_partition, find_A, regular_vertices
 
@@ -81,6 +81,15 @@ def test_find_A():
     assert find_A(path_graph(2), 1) is None
     with pytest.raises(PreconditionViolated):
         find_A(p7, 0)
+
+
+def test_find_A_honours_the_budget(monkeypatch):
+    # P3+2P2 has 7 vertices: C(12, 7) = 792 candidate sets against a budget
+    # of 100, and K12 holds no induced P3, so every set would be tried
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "100")
+    with pytest.raises(ScaleLimit):
+        find_A(complete_graph(12), 3)
+    assert find_A(path_graph(7), 1) == frozenset({0, 1, 2})  # C(7, 3) = 35
 
 
 def test_abc_partition_layers():
