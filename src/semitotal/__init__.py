@@ -17,7 +17,6 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    class_predicates,
     complete_graph,
     components,
     contains_induced,

@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run a named cross-checking suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--max-n", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=500)
     return parser
 
 
@@ -303,11 +301,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
     # a sweep over nothing would report success without checking anything
     if args.max_n is not None and args.max_n < 2:
         raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
-    checks = run_suite(
-        args.suite, max_n=args.max_n, seed=args.seed, count=args.count
-    )
+    checks = run_suite(args.suite, max_n=args.max_n)
     results = {
         "suite": args.suite,
         "checks": [
@@ -315,7 +309,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         ],
     }
     code = 3 if any(c.status == "fail" for c in checks) else 0
-    digest = {"suite": args.suite, "seed": args.seed, "count": args.count}
+    digest = {"suite": args.suite}
     if args.max_n is not None:
         digest["max_n"] = args.max_n
     return results, digest, code

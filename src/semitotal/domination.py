@@ -343,19 +343,6 @@ def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
     return frozenset(_bits(inst.ball2open[v] & vertex_mask(g, dset)))
 
 
-def private_neighbours(g: Graph, d, v: int) -> frozenset[int]:
-    """Neighbours of v outside d dominated by no other member of d."""
-    dset = set(d)
-    if v not in dset:
-        raise NotInSet(f"vertex {v} is not in the given set")
-    dmask = vertex_mask(g, dset)
-    return frozenset(
-        u
-        for u in _bits(g.rows[v])
-        if not dmask >> u & 1 and g.rows[u] & dmask == 1 << v
-    )
-
-
 def all_min_sds_independent(g: Graph) -> bool:
     """True iff every minimum semitotal dominating set induces no edge."""
     value = solve(g, DominationKind.SEMITOTAL).value

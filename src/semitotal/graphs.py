@@ -174,17 +174,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
     return Graph(len(vs), tuple(rows)), remap
 
 
-def relabel(g: Graph, perm: dict[int, int] | list[int]) -> Graph:
-    """Apply a vertex permutation (old id -> new id)."""
-    if isinstance(perm, list):
-        perm = {i: p for i, p in enumerate(perm)}
-    rows = [0] * g.n
-    for u, v in g.edges():
-        rows[perm[u]] |= 1 << perm[v]
-        rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(rows))
-
-
 def contract_edges(g: Graph, edges) -> tuple[Graph, dict[int, int]]:
     """Contract a set of edges simultaneously (partition semantics).
 
@@ -375,36 +364,6 @@ def contains_subgraph(g: Graph, h: Graph, within=None) -> dict[int, int] | None:
     return _match(g, h, False, within)
 
 
-# -- class predicates ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassPredicates:
-    connected: bool
-    tree: bool
-    bipartite: bool
-    chordal: bool
-    girth: float
-
-
-def is_bipartite(g: Graph) -> bool:
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in _bits(g.rows[v]):
-                if colour[w] == -1:
-                    colour[w] = colour[v] ^ 1
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return False
-    return True
-
-
 def is_chordal(g: Graph) -> bool:
     """Maximum cardinality search followed by the elimination-order check."""
     n = g.n
@@ -430,44 +389,6 @@ def is_chordal(g: Graph) -> bool:
             if w != u and not g.has_edge(u, w):
                 return False
     return True
-
-
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle, math.inf on forests."""
-    best = inf
-    for src in range(g.n):
-        dist = [inf] * g.n
-        par = [-1] * g.n
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in _bits(g.rows[v]):
-                    if dist[w] is inf:
-                        dist[w] = dist[v] + 1
-                        par[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        for u, v in g.edges():
-            if dist[u] is not inf and dist[v] is not inf:
-                if par[u] != v and par[v] != u:
-                    best = min(best, dist[u] + dist[v] + 1)
-    return best
-
-
-def is_tree(g: Graph) -> bool:
-    return is_connected(g) and g.m == g.n - 1
-
-
-def class_predicates(g: Graph) -> ClassPredicates:
-    return ClassPredicates(
-        connected=is_connected(g),
-        tree=is_tree(g),
-        bipartite=is_bipartite(g),
-        chordal=is_chordal(g),
-        girth=girth(g),
-    )
 
 
 # -- graph6 --------------------------------------------------------------
@@ -574,9 +495,3 @@ def parse_edge_list(text: str) -> Graph:
         seen.add(e)
         edges.append(e)
     return Graph.from_edges(n, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

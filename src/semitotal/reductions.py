@@ -74,16 +74,15 @@ def parse_sat(text: str) -> SatInstance:
         raise ParseError(f"bad SAT header {lines[0]!r}", offset=0)
     if len(head) == 5 and head[4] != "b3":
         raise ParseError(f"unknown header flag {head[4]!r}", offset=0)
-    try:
-        nv, nc = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise ParseError(f"bad counts in header {lines[0]!r}", offset=0) from exc
+    if not all(t.isascii() and t.isdigit() for t in head[2:4]):
+        raise ParseError(f"bad counts in header {lines[0]!r}", offset=0)
+    nv, nc = int(head[2]), int(head[3])
     if len(lines) - 1 != nc:
         raise ParseError(f"expected {nc} clause lines, got {len(lines) - 1}")
     clauses = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3 or not all(p.isdigit() for p in parts):
+        if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ParseError(f"bad clause line {ln!r}")
         vals = [int(p) for p in parts]
         if any(not 1 <= v <= nv for v in vals):

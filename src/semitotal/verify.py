@@ -1,20 +1,27 @@
-"""Seeded cross-checking suites shared by the CLI and the test suite.
+"""Cross-checking suites shared by the CLI and the test suite.
 
 Each suite replays one of the package's load-bearing facts against an
 independent route: brute-force contraction scans against the structural
 characterization, construction identities against direct solves, and the
 polynomial deciders against exhaustive oracles.  Suites return CheckResult
-lists so callers can render pass/fail/skipped uniformly; they raise
-ScaleLimit rather than silently truncating when asked for more than the
-enumeration can sustain.
+lists so callers can render pass/fail/skipped uniformly.
+
+Every exhaustive suite is a per-graph visitor run by one sweep, `_sweep`.
+The visitor returns {check stem: passed} for the checks that examined the
+graph, and a stem that examined no graph emits no check, so no check
+passes on nothing; `run_suite` raises InvalidSetting when a run emits no
+check at all.  Suites raise ScaleLimit rather than silently truncating
+when asked for more than the enumeration can sustain.  The only random
+input is appB's fixed order-9 sample of 2P3-free graphs.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
-from .errors import ScaleLimit
+from .errors import InvalidSetting, ScaleLimit
 from .graphs import (
     contains_induced,
     contract_edges,
@@ -55,18 +62,21 @@ from .reductions import (
     reduce_tree,
 )
 
+_DOM = DominationKind.DOMINATION
+_TOTAL = DominationKind.TOTAL
+_SDS = DominationKind.SEMITOTAL
+
 _MAX_EXHAUSTIVE = 8
+# tree expansions grow elevenfold and layered chordal hosts fast
+_MAX_HOST_SOURCE = 5
+# appB's sample of 2P3-free graphs beyond the exhaustive orders
+_SAMPLE_ORDER, _SAMPLE_SEED, _SAMPLE_COUNT = 9, 0, 500
 
 _P5 = parse_pattern("P5")
+_P6 = parse_pattern("P6")
 _P3P2 = parse_pattern("P3+P2")
+_P4P2 = parse_pattern("P4+P2")
 _2P3 = parse_pattern("2P3")
-
-
-def _guard_order(max_n: int):
-    if max_n > _MAX_EXHAUSTIVE:
-        raise ScaleLimit(
-            f"exhaustive sweeps stop at order {_MAX_EXHAUSTIVE}, got {max_n}"
-        )
 
 
 def _fail_detail(bad: list[str], examined: int) -> str:
@@ -75,147 +85,149 @@ def _fail_detail(bad: list[str], examined: int) -> str:
     return f"{len(bad)}/{examined} failed, e.g. {' '.join(bad[:5])}"
 
 
-def suite_contraction_bound(max_n: int = 7, **_) -> list[CheckResult]:
+def _sweep(graphs, suffix: str, stems: tuple[str, ...], visit) -> list[CheckResult]:
+    """One check `<stem>-<suffix>` per stem that examined some graph.
+
+    visit(g) returns {stem: passed} for the stems that examined g; a stem
+    that examined none of the graphs emits no check.
+    """
+    bad: dict[str, list[str]] = {stem: [] for stem in stems}
+    examined = dict.fromkeys(stems, 0)
+    for g in graphs:
+        for stem, passed in visit(g).items():
+            examined[stem] += 1
+            if not passed:
+                bad[stem].append(to_graph6(g))
+    return [
+        _check(f"{stem}-{suffix}", not bad[stem], _fail_detail(bad[stem], examined[stem]))
+        for stem in stems
+        if examined[stem]
+    ]
+
+
+def _orders(max_n: int, cap: int) -> range:
+    """Orders 2..max_n; ScaleLimit above the suite's cap."""
+    if max_n > cap:
+        raise ScaleLimit(f"this suite sweeps orders up to {cap}, got {max_n}")
+    return range(2, max_n + 1)
+
+
+def _per_order(max_n: int, cap: int, stems: tuple[str, ...], visit) -> list[CheckResult]:
+    """_sweep over the connected graphs of each order 2..max_n in turn."""
+    return [
+        check
+        for n in _orders(max_n, cap)
+        for check in _sweep(connected_graphs(n), f"n{n}", stems, visit)
+    ]
+
+
+def _one(res) -> bool:
+    """A ct_exact result says exactly one contraction."""
+    return res is not None and res[0] == 1
+
+
+def suite_contraction_bound(max_n: int = 7) -> list[CheckResult]:
     """Three contractions always suffice, and the constructive certificate
     really lowers the value."""
-    _guard_order(max_n)
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad_bound: list[str] = []
-        bad_cert: list[str] = []
-        examined = 0
-        for g in connected_graphs(n):
-            value = solve(g, DominationKind.SEMITOTAL).value
-            if value < 3:
-                continue
-            examined += 1
-            res = ct_exact(g, DominationKind.SEMITOTAL, 3)
-            if res is None or res[0] > 3:
-                bad_bound.append(to_graph6(g))
-            cert = path_contraction_certificate(g)
-            contracted, _map = contract_edges(g, cert.edges)
-            after = solve(contracted, DominationKind.SEMITOTAL).value
-            if not (len(cert.edges) <= 3 and after < value and after == cert.value_after):
-                bad_cert.append(to_graph6(g))
-        checks.append(_check(
-            f"ct-at-most-3-n{n}", not bad_bound, _fail_detail(bad_bound, examined)))
-        checks.append(_check(
-            f"certificate-drops-n{n}", not bad_cert, _fail_detail(bad_cert, examined)))
-    return checks
+
+    def visit(g):
+        value = solve(g, _SDS).value
+        if value < 3:
+            return {}
+        res = ct_exact(g, _SDS, 3)
+        cert = path_contraction_certificate(g)
+        contracted, _map = contract_edges(g, cert.edges)
+        after = solve(contracted, _SDS).value
+        return {
+            "ct-at-most-3": res is not None and res[0] <= 3,
+            "certificate-drops": len(cert.edges) <= 3
+            and after < value
+            and after == cert.value_after,
+        }
+
+    return _per_order(
+        max_n, _MAX_EXHAUSTIVE, ("ct-at-most-3", "certificate-drops"), visit)
 
 
-def suite_mechanism_match(max_n: int = 7, **_) -> list[CheckResult]:
+def suite_mechanism_match(max_n: int = 7) -> list[CheckResult]:
     """The structural characterization agrees with the brute contraction
     scan on every connected graph, and its verdicts re-validate."""
-    _guard_order(max_n)
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad: list[str] = []
-        examined = 0
-        for g in connected_graphs(n):
-            examined += 1
-            verdict = characterize_ct(g)
-            res = ct_exact(g, DominationKind.SEMITOTAL, 3)
-            expected = res[0] if res is not None else None
-            if verdict.k != expected or not validate_ct_verdict(g, verdict):
-                bad.append(to_graph6(g))
-        checks.append(_check(
-            f"mechanism-matches-oracle-n{n}", not bad, _fail_detail(bad, examined)))
-    return checks
+
+    def visit(g):
+        verdict = characterize_ct(g)
+        res = ct_exact(g, _SDS, 3)
+        expected = res[0] if res is not None else None
+        return {"mechanism-matches-oracle":
+                verdict.k == expected and validate_ct_verdict(g, verdict)}
+
+    return _per_order(max_n, _MAX_EXHAUSTIVE, ("mechanism-matches-oracle",), visit)
 
 
-def suite_variant_classifiers(max_n: int = 7, **_) -> list[CheckResult]:
+def suite_variant_classifiers(max_n: int = 7) -> list[CheckResult]:
     """Plain and total domination classifiers agree with their own brute
     contraction scans off the floor."""
-    _guard_order(max_n)
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad_dom: list[str] = []
-        bad_tot: list[str] = []
-        n_dom = n_tot = 0
-        for g in connected_graphs(n):
-            if solve(g, DominationKind.DOMINATION).value >= 2:
-                n_dom += 1
-                res = ct_exact(g, DominationKind.DOMINATION, 3)
-                if res is None or classify_ct_domination(g) != res[0]:
-                    bad_dom.append(to_graph6(g))
-            if solve(g, DominationKind.TOTAL).value >= 3:
-                n_tot += 1
-                res = ct_exact(g, DominationKind.TOTAL, 3)
-                if res is None or classify_ct_total(g) != res[0]:
-                    bad_tot.append(to_graph6(g))
-        checks.append(_check(
-            f"domination-classifier-n{n}", not bad_dom, _fail_detail(bad_dom, n_dom)))
-        checks.append(_check(
-            f"total-classifier-n{n}", not bad_tot, _fail_detail(bad_tot, n_tot)))
-    return checks
+
+    def visit(g):
+        passed = {}
+        if solve(g, _DOM).value >= 2:
+            res = ct_exact(g, _DOM, 3)
+            passed["domination-classifier"] = (
+                res is not None and classify_ct_domination(g) == res[0])
+        if solve(g, _TOTAL).value >= 3:
+            res = ct_exact(g, _TOTAL, 3)
+            passed["total-classifier"] = (
+                res is not None and classify_ct_total(g) == res[0])
+        return passed
+
+    return _per_order(
+        max_n, _MAX_EXHAUSTIVE, ("domination-classifier", "total-classifier"), visit)
 
 
-def suite_tree_identity(max_n: int = 5, **_) -> list[CheckResult]:
+def suite_tree_identity(max_n: int = 5) -> list[CheckResult]:
     """Tree expansion: value identity and one-contraction equivalence
     between the source and the expanded graph."""
-    if max_n > 5:
-        raise ScaleLimit("tree expansions grow elevenfold; capped at source order 5")
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad_value: list[str] = []
-        bad_equiv: list[str] = []
-        examined = 0
-        for g in connected_graphs(n):
-            examined += 1
-            out = reduce_tree(g)
-            gamma = solve(g, DominationKind.DOMINATION).value
-            value = solve(out.graph, DominationKind.SEMITOTAL).value
-            if value != gamma + out.meta["gamma_t2_offset"]:
-                bad_value.append(to_graph6(g))
-            src_yes = ct_exact(g, DominationKind.DOMINATION, 1) is not None
-            dst_yes = ct_exact(out.graph, DominationKind.SEMITOTAL, 1) is not None
-            if src_yes != dst_yes:
-                bad_equiv.append(to_graph6(g))
-        checks.append(_check(
-            f"expanded-value-n{n}", not bad_value, _fail_detail(bad_value, examined)))
-        checks.append(_check(
-            f"one-contraction-transfers-n{n}", not bad_equiv,
-            _fail_detail(bad_equiv, examined)))
-    return checks
+
+    def visit(g):
+        out = reduce_tree(g)
+        gamma = solve(g, _DOM).value
+        value = solve(out.graph, _SDS).value
+        src_yes = ct_exact(g, _DOM, 1) is not None
+        dst_yes = ct_exact(out.graph, _SDS, 1) is not None
+        return {
+            "expanded-value": value == gamma + out.meta["gamma_t2_offset"],
+            "one-contraction-transfers": src_yes == dst_yes,
+        }
+
+    return _per_order(
+        max_n, _MAX_HOST_SOURCE, ("expanded-value", "one-contraction-transfers"), visit)
 
 
-def suite_chordal_identity(max_n: int = 5, **_) -> list[CheckResult]:
+def suite_chordal_identity(max_n: int = 5) -> list[CheckResult]:
     """Layered chordal host: value identity, class membership, and the
     fact that every minimum set meets the pendant pair."""
-    if max_n > 5:
-        raise ScaleLimit("layered hosts grow fast; capped at source order 5")
-    checks: list[CheckResult] = []
-    for ell in (2, 3):
-        bad_value: list[str] = []
-        bad_class: list[str] = []
-        bad_pendant: list[str] = []
-        examined = 0
-        for n in range(2, max_n + 1):
-            for g in connected_graphs(n):
-                examined += 1
-                out = reduce_chordal(g, ell)
-                host = out.graph
-                gamma = solve(g, DominationKind.DOMINATION).value
-                value = solve(host, DominationKind.SEMITOTAL).value
-                if value != min(gamma + 1, ell + 1):
-                    bad_value.append(to_graph6(g))
-                if not (is_chordal(host)
-                        and is_h_free(host, parse_pattern("P6"))
-                        and is_h_free(host, parse_pattern("P4+P2"))):
-                    bad_class.append(to_graph6(g))
-                anchor = {out.labels["y"], out.labels["x_0"]}
-                if any(not (set(d) & anchor)
-                       for d in enumerate_min_sets(host, DominationKind.SEMITOTAL)):
-                    bad_pendant.append(to_graph6(g))
-        checks.append(_check(
-            f"host-value-ell{ell}", not bad_value, _fail_detail(bad_value, examined)))
-        checks.append(_check(
-            f"host-class-ell{ell}", not bad_class, _fail_detail(bad_class, examined)))
-        checks.append(_check(
-            f"minimum-sets-meet-pendant-ell{ell}", not bad_pendant,
-            _fail_detail(bad_pendant, examined)))
-    return checks
+
+    def visit(g, ell):
+        out = reduce_chordal(g, ell)
+        host = out.graph
+        gamma = solve(g, _DOM).value
+        value = solve(host, _SDS).value
+        anchor = {out.labels["y"], out.labels["x_0"]}
+        return {
+            "host-value": value == min(gamma + 1, ell + 1),
+            "host-class": is_chordal(host)
+            and is_h_free(host, _P6)
+            and is_h_free(host, _P4P2),
+            "minimum-sets-meet-pendant": all(
+                set(d) & anchor for d in enumerate_min_sets(host, _SDS)),
+        }
+
+    graphs = [g for n in _orders(max_n, _MAX_HOST_SOURCE) for g in connected_graphs(n)]
+    stems = ("host-value", "host-class", "minimum-sets-meet-pendant")
+    return [
+        check
+        for ell in (2, 3)
+        for check in _sweep(graphs, f"ell{ell}", stems, partial(visit, ell=ell))
+    ]
 
 
 def _covering_instances() -> list[SatInstance]:
@@ -232,157 +244,121 @@ def _covering_instances() -> list[SatInstance]:
     return instances
 
 
-def suite_2p3_encoding(
-    max_n: int = 8, seed: int = 0, count: int = 500, **_
-) -> list[CheckResult]:
-    """SAT encoding identity for every covering small instance, plus the
-    independence equivalence on 2P3-free graphs.
+def _independence_equivalence(g) -> bool:
+    """One contraction helps iff some minimum set spans an edge."""
+    return (ct_exact(g, _SDS, 1) is not None) != all_min_sds_independent(g)
 
-    The equivalence (one contraction helps iff some minimum set spans an
-    edge) is restricted to value >= 3: at the floor nothing can decrease
-    even when a minimum set spans an edge.
+
+def suite_2p3_encoding(max_n: int = 8) -> list[CheckResult]:
+    """SAT encoding identity for every covering small instance, plus the
+    independence equivalence on 2P3-free graphs: exhaustive up to order 8
+    and, when max_n is larger, on a fixed sample of order-9 graphs.
+
+    The equivalence is restricted to value >= 3: at the floor nothing can
+    decrease even when a minimum set spans an edge.
     """
-    checks: list[CheckResult] = []
+    if max_n > _SAMPLE_ORDER:
+        raise ScaleLimit(f"appB samples order {_SAMPLE_ORDER} at most, got {max_n}")
     instances = _covering_instances()
     bad_sat: list[str] = []
     for inst in instances:
         out = reduce_2p3free(inst)
-        value = solve(out.graph, DominationKind.SEMITOTAL).value
+        value = solve(out.graph, _SDS).value
         satisfiable = brute_1in3(inst) is not None
         if (value == out.meta["gamma_t2_target"]) != satisfiable:
             bad_sat.append(f"vars={inst.num_vars},clauses={inst.clauses}")
-    checks.append(_check(
-        "encoding-identity", not bad_sat, _fail_detail(bad_sat, len(instances))))
+    checks = [_check(
+        "encoding-identity", not bad_sat, _fail_detail(bad_sat, len(instances)))]
 
-    for n in range(2, min(max_n, _MAX_EXHAUSTIVE) + 1):
-        bad: list[str] = []
-        examined = 0
-        for g in connected_graphs(n):
-            if contains_induced(g, _2P3) is not None:
-                continue
-            if solve(g, DominationKind.SEMITOTAL).value < 3:
-                continue
-            examined += 1
-            lhs = ct_exact(g, DominationKind.SEMITOTAL, 1) is not None
-            if lhs == all_min_sds_independent(g):
-                bad.append(to_graph6(g))
-        checks.append(_check(
-            f"independence-equivalence-n{n}", not bad, _fail_detail(bad, examined)))
+    def visit(g):
+        if contains_induced(g, _2P3) is not None or solve(g, _SDS).value < 3:
+            return {}
+        return {"independence-equivalence": _independence_equivalence(g)}
+
+    checks += _per_order(
+        min(max_n, _MAX_EXHAUSTIVE), _MAX_EXHAUSTIVE, ("independence-equivalence",), visit)
 
     if max_n > _MAX_EXHAUSTIVE:
-        rng = random.Random(seed)
+        rng = random.Random(_SAMPLE_SEED)
         bad = []
         sampled = checked = attempts = 0
-        while sampled < count and attempts < 400 * count:
+        while sampled < _SAMPLE_COUNT and attempts < 400 * _SAMPLE_COUNT:
             attempts += 1
             p = rng.choice((0.35, 0.5, 0.65, 0.8))
-            g = random_connected(9, p, rng.randrange(2**31))
+            g = random_connected(_SAMPLE_ORDER, p, rng.randrange(2**31))
             if contains_induced(g, _2P3) is not None:
                 continue
             sampled += 1
-            if solve(g, DominationKind.SEMITOTAL).value < 3:
+            if solve(g, _SDS).value < 3:
                 continue
             checked += 1
-            lhs = ct_exact(g, DominationKind.SEMITOTAL, 1) is not None
-            if lhs == all_min_sds_independent(g):
+            if not _independence_equivalence(g):
                 bad.append(to_graph6(g))
         checks.append(_check(
-            "independence-equivalence-sampled-n9",
-            not bad and sampled >= count,
+            f"independence-equivalence-sampled-n{_SAMPLE_ORDER}",
+            not bad and sampled >= _SAMPLE_COUNT,
             f"{sampled} sampled, {checked} off the floor"
             + (f", {len(bad)} failed e.g. {' '.join(bad[:5])}" if bad else ""),
         ))
     return checks
 
 
-def suite_p5free_decider(max_n: int = 7, **_) -> list[CheckResult]:
+def suite_p5free_decider(max_n: int = 7) -> list[CheckResult]:
     """P5-free graphs: value >= 3 forces a single contraction for both the
     semitotal and plain parameters, and the pair-scan decider agrees with
     the oracle."""
-    _guard_order(max_n)
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad_sds: list[str] = []
-        bad_dom: list[str] = []
-        bad_dec: list[str] = []
-        examined = 0
-        for g in connected_graphs(n):
-            if not is_h_free(g, _P5):
-                continue
-            examined += 1
-            res = ct_exact(g, DominationKind.SEMITOTAL, 3)
-            if solve(g, DominationKind.SEMITOTAL).value >= 3:
-                if res is None or res[0] != 1:
-                    bad_sds.append(to_graph6(g))
-            if solve(g, DominationKind.DOMINATION).value >= 3:
-                resd = ct_exact(g, DominationKind.DOMINATION, 3)
-                if resd is None or resd[0] != 1:
-                    bad_dom.append(to_graph6(g))
-            if ec1_gt2_p5free(g) != (res is not None and res[0] == 1):
-                bad_dec.append(to_graph6(g))
-        checks.append(_check(
-            f"high-value-forces-one-n{n}", not bad_sds, _fail_detail(bad_sds, examined)))
-        checks.append(_check(
-            f"domination-analogue-n{n}", not bad_dom, _fail_detail(bad_dom, examined)))
-        checks.append(_check(
-            f"decider-matches-oracle-n{n}", not bad_dec, _fail_detail(bad_dec, examined)))
-    return checks
+
+    def visit(g):
+        if not is_h_free(g, _P5):
+            return {}
+        one = _one(ct_exact(g, _SDS, 3))
+        return {
+            "high-value-forces-one": solve(g, _SDS).value < 3 or one,
+            "domination-analogue": solve(g, _DOM).value < 3 or _one(ct_exact(g, _DOM, 3)),
+            "decider-matches-oracle": ec1_gt2_p5free(g) == one,
+        }
+
+    stems = ("high-value-forces-one", "domination-analogue", "decider-matches-oracle")
+    return _per_order(max_n, _MAX_EXHAUSTIVE, stems, visit)
 
 
-def suite_p3kp2_decider(max_n: int = 7, **_) -> list[CheckResult]:
+def suite_p3kp2_decider(max_n: int = 7) -> list[CheckResult]:
     """P3+P2-free graphs: layered decider versus the contraction oracle,
     and the two regular-vertex consequences whenever the far layer has
     regular vertices."""
-    _guard_order(max_n)
-    checks: list[CheckResult] = []
-    for n in range(2, max_n + 1):
-        bad_dec: list[str] = []
-        bad_claims: list[str] = []
-        examined = regular_hits = 0
-        for g in connected_graphs(n):
-            if not is_h_free(g, _P3P2):
-                continue
-            examined += 1
-            res = ct_exact(g, DominationKind.SEMITOTAL, 3)
-            oracle = res is not None and res[0] == 1
-            if ec1_gt2_p3kp2free(g, 1) != oracle:
-                bad_dec.append(to_graph6(g))
-            anchor = find_A(g, 1)
-            if anchor is None:
-                continue
-            part = abc_partition(g, anchor, 1)
-            if not part.R:
-                continue
-            regular_hits += 1
-            gamma = solve(g, DominationKind.DOMINATION).value
-            gt2 = solve(g, DominationKind.SEMITOTAL).value
-            resd = ct_exact(g, DominationKind.DOMINATION, 3)
-            dom_one = resd is not None and resd[0] == 1
-            if gamma != gt2 or dom_one != oracle:
-                bad_claims.append(to_graph6(g))
-        checks.append(_check(
-            f"decider-matches-oracle-n{n}", not bad_dec, _fail_detail(bad_dec, examined)))
-        checks.append(_check(
-            f"regular-vertex-consequences-n{n}", not bad_claims,
-            f"{regular_hits} graphs with regular vertices"
-            + (f", failures e.g. {' '.join(bad_claims[:5])}" if bad_claims else "")))
-    return checks
+
+    def visit(g):
+        if not is_h_free(g, _P3P2):
+            return {}
+        oracle = _one(ct_exact(g, _SDS, 3))
+        passed = {"decider-matches-oracle": ec1_gt2_p3kp2free(g, 1) == oracle}
+        anchor = find_A(g, 1)
+        if anchor is not None and abc_partition(g, anchor, 1).R:
+            gamma = solve(g, _DOM).value
+            gt2 = solve(g, _SDS).value
+            dom_one = _one(ct_exact(g, _DOM, 3))
+            passed["regular-vertex-consequences"] = gamma == gt2 and dom_one == oracle
+        return passed
+
+    stems = ("decider-matches-oracle", "regular-vertex-consequences")
+    return _per_order(max_n, _MAX_EXHAUSTIVE, stems, visit)
 
 
-def suite_separation_scan(max_n: int = 6, **_) -> list[CheckResult]:
+def suite_separation_scan(max_n: int = 6) -> list[CheckResult]:
     """Emit graphs on which one contraction helps plain domination but not
     the semitotal parameter, or vice versa.  Candidates only; the scan
     never fails."""
-    _guard_order(max_n)
     differing: list[str] = []
     examined = 0
-    for n in range(2, max_n + 1):
+    for n in _orders(max_n, _MAX_EXHAUSTIVE):
         for g in connected_graphs(n):
             examined += 1
-            dom_yes = ct_exact(g, DominationKind.DOMINATION, 1) is not None
-            sds_yes = ct_exact(g, DominationKind.SEMITOTAL, 1) is not None
+            dom_yes = ct_exact(g, _DOM, 1) is not None
+            sds_yes = ct_exact(g, _SDS, 1) is not None
             if dom_yes != sds_yes:
                 differing.append(to_graph6(g))
+    if not examined:
+        return []
     detail = f"{len(differing)}/{examined} differ"
     if differing:
         detail += f", e.g. {' '.join(differing[:5])}"
@@ -402,17 +378,12 @@ SUITES = {
 }
 
 
-def run_suite(
-    name: str,
-    *,
-    max_n: int | None = None,
-    seed: int = 0,
-    count: int = 500,
-) -> list[CheckResult]:
-    """Run one named suite; unknown names raise KeyError for the CLI to map
-    to a usage error."""
+def run_suite(name: str, *, max_n: int | None = None) -> list[CheckResult]:
+    """Run one named suite.  Unknown names raise KeyError for the CLI to map
+    to a usage error; a run that emits no check examined no graph, so it
+    raises InvalidSetting rather than report success."""
     fn = SUITES[name]
-    kwargs = {"seed": seed, "count": count}
-    if max_n is not None:
-        kwargs["max_n"] = max_n
-    return fn(**kwargs)
+    checks = fn() if max_n is None else fn(max_n=max_n)
+    if not checks:
+        raise InvalidSetting(f"suite {name} with max_n={max_n} examines no graph")
+    return checks

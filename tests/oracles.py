@@ -2,10 +2,13 @@
 
 Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
-bitmask solvers under test.
+bitmask solvers under test; `relabel` builds a Graph only to feed
+permuted inputs to the code under test.
 """
 
 from itertools import combinations, permutations
+
+from semitotal import Graph
 
 
 def edge_data(g):
@@ -32,6 +35,16 @@ def bfs_distances(adj, src):
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def relabel(g, perm):
+    """g with each vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def is_tree(g):
+    n, edges = edge_data(g)
+    return len(edges) == n - 1 and len(bfs_distances(adjacency(n, edges), 0)) == n
 
 
 def ok_dominating(adj, d):

@@ -98,7 +98,7 @@ def test_ac05_chordal_host_identity():
 
 
 def test_ac06_sat_identity_and_independence_equivalence():
-    checks = run_suite("appB", max_n=9, seed=0, count=500)
+    checks = run_suite("appB", max_n=9)
     _assert_all_pass(checks)
     assert checks[0].name == "encoding-identity"
     assert checks[0].detail == "57 graphs"

@@ -110,7 +110,7 @@ def test_blocker_on_floor(capsys):
 
 def test_verify_suite_passes(capsys):
     code, report = run_cli(
-        capsys, "verify", "--suite", "thm34", "--max-n", "7", "--seed", "1")
+        capsys, "verify", "--suite", "thm34", "--max-n", "7")
     assert code == 0
     checks = report["results"]["checks"]
     assert checks and all(c["status"] == "pass" for c in checks)
@@ -270,9 +270,22 @@ def test_blocker_max_k_below_one_is_a_usage_error(capsys):
 
 def test_verify_empty_sweep_is_a_usage_error(capsys):
     # a verification that checks nothing must not report success
-    for flag, value in (("--max-n", "1"), ("--max-n", "0"), ("--count", "0"), ("--count", "-5")):
-        code, report = run_cli(capsys, "verify", "--suite", "thm32", flag, value)
-        assert code == 1, (flag, value)
+    for value in ("1", "0"):
+        code, report = run_cli(capsys, "verify", "--suite", "thm32", "--max-n", value)
+        assert code == 1, value
+        assert report["error"]["type"] == "usage"
+        assert "--max-n" in report["error"]["message"]
+    # no graph on at most 4 vertices has semitotal value 3 or more
+    code, report = run_cli(capsys, "verify", "--suite", "thm32", "--max-n", "4")
+    assert code == 1
+    assert report["error"]["type"] == "usage"
+
+
+def test_verify_rejects_seed_and_count(capsys):
+    # no suite reads a seed or a count, so neither is accepted
+    for flag, value in (("--seed", "9"), ("--count", "7")):
+        code, report = run_cli(capsys, "verify", "--suite", "lem43", "--max-n", "4", flag, value)
+        assert code == 1, flag
         assert report["error"]["type"] == "usage"
         assert flag in report["error"]["message"]
 
@@ -309,7 +322,7 @@ _COMMAND_FLAGS = {
     "characterize": _SOURCE + ["--check-certificate"],
     "reduce": _SOURCE + ["--target", "--ell", "--sat"],
     "classify": ["--pattern"],
-    "verify": ["--suite", "--seed", "--count"],
+    "verify": ["--suite"],
     "nope": [],
 }
 _ANY_FLAG = sorted(_FLAG_VALUES) + _SWITCHES

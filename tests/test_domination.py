@@ -26,7 +26,7 @@ from semitotal import (
     star_graph,
     witnesses_of,
 )
-from semitotal.domination import DEFAULT_BUDGET, private_neighbours, search_budget
+from semitotal.domination import DEFAULT_BUDGET, search_budget
 from semitotal.errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
 from semitotal.graphs import Graph, random_connected, to_graph6
 
@@ -206,18 +206,6 @@ def test_witnesses_hand_cases():
     assert witnesses_of(c6, d, 1) == frozenset({0, 3})
     with pytest.raises(NotInSet):
         witnesses_of(c6, d, 2)
-
-
-def test_private_neighbours_hand_cases():
-    star = star_graph(4)
-    assert private_neighbours(star, {0}, 0) == frozenset({1, 2, 3})
-    c6 = cycle_graph(6)
-    assert private_neighbours(c6, {0, 1, 3}, 3) == frozenset({4})
-    # members of the set are never private neighbours
-    p3 = path_graph(3)
-    assert private_neighbours(p3, {0, 1}, 1) == frozenset({2})
-    with pytest.raises(NotInSet):
-        private_neighbours(c6, {0, 1}, 5)
 
 
 def test_all_min_sds_independent():

@@ -26,9 +26,10 @@ from semitotal.graphs import (
     disjoint_union,
     is_chordal,
     is_connected,
-    is_tree,
 )
 from semitotal.reductions import build_variable_gadget, format_sat
+
+from oracles import is_tree
 
 SDS = DominationKind.SEMITOTAL
 
@@ -77,6 +78,11 @@ def test_parse_sat_rejects():
         "p 1in3 3 1\n1 2",
         "p 1in3 3 1 b3\n1 2 3",
         "p 1in3 x 1\n1 2 3",
+        # digits int() reads or refuses that are not ASCII 0-9
+        "p 1in3 3 1\n\u00b2 2 3",
+        "p 1in3 3 1\n\u0661 2 3",
+        "p 1in3 \u0663 1\n1 2 3",
+        "p 1in3 +3 1\n1 2 3",
     ]:
         with pytest.raises(ParseError):
             parse_sat(bad)

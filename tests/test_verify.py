@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from semitotal import SUITES, ScaleLimit, run_suite
+from semitotal import SUITES, InvalidSetting, ScaleLimit, run_suite
 
 EXPECTED_SUITES = [
     "appB",
@@ -33,11 +36,16 @@ def test_unknown_suite_raises():
 
 
 def test_contraction_bound_suite_small():
-    checks = run_suite("thm32", max_n=5)
+    # no connected graph on at most 5 vertices has semitotal value 3 or more
+    checks = run_suite("thm32", max_n=6)
     assert _all_pass(checks)
-    assert _names(checks) == [
-        name for n in range(2, 6) for name in (f"ct-at-most-3-n{n}", f"certificate-drops-n{n}")
-    ]
+    assert _names(checks) == ["ct-at-most-3-n6", "certificate-drops-n6"]
+
+
+def test_a_run_that_examines_nothing_raises():
+    for name, max_n in (("thm32", 4), ("separation", 1)):
+        with pytest.raises(InvalidSetting):
+            run_suite(name, max_n=max_n)
 
 
 def test_mechanism_suite_small():
@@ -49,7 +57,9 @@ def test_mechanism_suite_small():
 def test_variant_suite_small():
     checks = run_suite("huangxu", max_n=5)
     assert _all_pass(checks)
-    assert len(checks) == 8
+    # plain domination is off the floor from order 4 on, total from order 5
+    assert _names(checks) == [
+        "domination-classifier-n4", "domination-classifier-n5", "total-classifier-n5"]
 
 
 def test_tree_suite_small():
@@ -64,13 +74,14 @@ def test_tree_suite_small():
 
 
 def test_sat_suite_small():
-    checks = run_suite("appB", max_n=4)
+    checks = run_suite("appB", max_n=6)
     assert _all_pass(checks)
     assert checks[0].name == "encoding-identity"
     # covering census: every used-everywhere instance on 3 or 4 variables
     # with at most 4 clauses
     assert checks[0].detail == "57 graphs"
-    assert _names(checks)[1:] == [f"independence-equivalence-n{n}" for n in range(2, 5)]
+    # below order 6 no 2P3-free graph has value 3 or more
+    assert _names(checks)[1:] == ["independence-equivalence-n6"]
 
 
 def test_chordal_suite_small():
@@ -96,10 +107,8 @@ def test_p5free_suite_small():
 def test_p3kp2_suite_small():
     checks = run_suite("p3kp2", max_n=5)
     assert _all_pass(checks)
-    assert len(checks) == 8
-    # no order-5 far layer holds two regular vertices six apart
-    regular = [c for c in checks if c.name.startswith("regular-vertex")]
-    assert all(c.detail == "0 graphs with regular vertices" for c in regular)
+    # no order-5 far layer holds regular vertices, so only the decider is checked
+    assert _names(checks) == [f"decider-matches-oracle-n{n}" for n in range(2, 6)]
 
 
 def test_separation_suite_small():
@@ -115,6 +124,30 @@ def test_order_guards():
     with pytest.raises(ScaleLimit):
         run_suite("thm32", max_n=9)
     with pytest.raises(ScaleLimit):
+        run_suite("appB", max_n=10)
+    with pytest.raises(ScaleLimit):
         run_suite("lem43", max_n=6)
     with pytest.raises(ScaleLimit):
         run_suite("appC", max_n=6)
+
+
+# perfbench's `suites` workload: each suite at its acceptance scale, capped
+# at order 7
+SUITE_ORDERS = (
+    ("thm32", 7), ("thm34", 7), ("huangxu", 7), ("p5free", 7), ("p3kp2", 7),
+    ("appB", 7), ("separation", 6), ("lem43", 5), ("appC", 5),
+)
+
+
+def test_suite_reports_frozen():
+    # pinned from the per-suite loops that preceded `_sweep`, with their
+    # vacuous "0 graphs" checks dropped and p3kp2's regular-vertex detail
+    # read as "N graphs"
+    rows = [
+        (c.name, c.status, c.detail)
+        for suite, n in SUITE_ORDERS
+        for c in run_suite(suite, max_n=n)
+    ]
+    assert all(not detail.startswith("0 ") for _, _, detail in rows)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "b40421a38a7e3da9bb40efd00c3953abc48da6f5b6745614526074fb14865fcb"
