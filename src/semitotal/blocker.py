@@ -35,7 +35,7 @@ from .graphs import (
 from .patterns import parse_pattern
 from .domination import (
     DominationKind,
-    _Instance,
+    _near,
     exists_within,
     feasible_sets,
     is_feasible,
@@ -101,7 +101,7 @@ _ADJ, _DIST2, _NEAR = range(3)
 
 
 def _tables(g: Graph) -> tuple[tuple[int, ...], ...]:
-    near = _Instance(g).ball2open
+    near = tuple(_near(g.rows, v) for v in range(g.n))
     return g.rows, tuple(b & ~r for b, r in zip(near, g.rows)), near
 
 

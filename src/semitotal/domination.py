@@ -9,12 +9,13 @@ vertices, lowest bit first, and stops as soon as it prunes.  Branches take
 candidates in ascending original id, and each candidate's rank-space cover
 and each distance-2 ball are built on first use.  The one lexicographic
 sweep, `feasible_sets`, lists the feasible sets of one size in
-`combinations` order over `_Instance` tables, for callers that need every
-set or the first one carrying some structure.  It shares no tables and no
-code with the search, so `solve_by_enumeration`, its smallest-size scan,
-is the independent reference the tests hold `solve` to; nothing in the
-package calls it.  SEMITOTAL_BUDGET caps the nodes of every search and the
-C(n, k) subsets of every sweep."""
+`combinations` order, for callers that need every set or the first one
+carrying some structure.  It shares only the ball helpers `_balls` and
+`_near` with the search, not its walk, its bound or its tables, so
+`solve_by_enumeration`, its smallest-size scan, is the independent
+reference the tests hold `solve` to; nothing in the package calls it.
+SEMITOTAL_BUDGET caps the nodes of every search and, through
+`check_subsets`, the C(n, k) subsets of every sweep."""
 
 from __future__ import annotations
 
@@ -53,43 +54,26 @@ class SolveResult:
     witness: frozenset[int]
 
 
-class _Instance:
-    """Per-graph mask tables for the feasibility test, the sweep and the
-    blocker's distance tables."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.n = g.n
-        self.all = g.full_mask()
-        self.open = g.rows
-        self.closed = tuple(r | 1 << v for v, r in enumerate(g.rows))
-        ball2 = []
-        for v in range(g.n):
-            m = self.closed[v]
-            for w in _bits(g.rows[v]):
-                m |= g.rows[w]
-            ball2.append(m & ~(1 << v))
-        self.ball2open = tuple(ball2)
-
-    def cover_ball(self, kind: DominationKind) -> tuple[int, ...]:
-        return self.open if kind is DominationKind.TOTAL else self.closed
+def _balls(g: Graph, kind: DominationKind) -> tuple[int, ...]:
+    """Each vertex's cover ball: its open neighbourhood for total
+    domination, its closed one otherwise."""
+    return g.rows if kind is DominationKind.TOTAL else tuple(r | 1 << v for v, r in enumerate(g.rows))
 
 
-def _feasible_mask(inst: _Instance, kind: DominationKind, dmask: int) -> bool:
-    cover = 0
-    for v in _bits(dmask):
-        cover |= inst.cover_ball(kind)[v]
-    if kind is DominationKind.DOMINATION:
-        if inst.all & ~dmask & ~cover:
-            return False
-        return True
-    if cover != inst.all:
-        return False
-    if kind is DominationKind.SEMITOTAL:
-        for v in _bits(dmask):
-            if not inst.ball2open[v] & dmask:
-                return False
-    return True
+def _near(rows: tuple[int, ...], v: int) -> int:
+    """The vertices within distance two of v, v itself excluded."""
+    m = rows[v]
+    for w in _bits(rows[v]):
+        m |= rows[w]
+    return m & ~(1 << v)
+
+
+def check_subsets(n: int, k: int) -> None:
+    """ScaleLimit when a sweep over the C(n, k) k-subsets of n items would
+    pass search_budget()."""
+    cap = search_budget()
+    if comb(n, k) > cap:
+        raise ScaleLimit(f"C({n},{k}) subsets exceed the {cap} budget")
 
 
 def is_feasible(g: Graph, kind: DominationKind, d) -> bool:
@@ -99,7 +83,14 @@ def is_feasible(g: Graph, kind: DominationKind, d) -> bool:
         raise NotInSet(f"set contains vertices outside 0..{g.n - 1}")
     if kind is not DominationKind.DOMINATION and g.n < 2:
         raise Infeasible(f"{kind.value} domination needs at least 2 vertices")
-    return _feasible_mask(_Instance(g), kind, vertex_mask(g, dset))
+    ball = _balls(g, kind)
+    dmask = vertex_mask(g, dset)
+    cover = 0
+    for v in dset:
+        cover |= ball[v]
+    if cover != g.full_mask():
+        return False
+    return kind is not DominationKind.SEMITOTAL or all(_near(g.rows, v) & dmask for v in dset)
 
 
 class _Found(Exception):
@@ -122,7 +113,7 @@ class _Search:
 
     def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
         n = g.n
-        ball = g.rows if kind is DominationKind.TOTAL else tuple(r | 1 << v for v, r in enumerate(g.rows))
+        ball = _balls(g, kind)
         order = sorted(range(n), key=lambda v: (ball[v].bit_count(), v))
         rank_bit = [0] * n
         for r, v in enumerate(order):
@@ -154,11 +145,7 @@ class _Search:
         return out
 
     def _near(self, v: int) -> int:
-        rows = self.rows
-        m = rows[v]
-        for w in _bits(rows[v]):
-            m |= rows[w]
-        self.near[v] = m = m & ~(1 << v)
+        self.near[v] = m = _near(self.rows, v)
         return m
 
     def greedy(self):
@@ -285,31 +272,29 @@ def exists_within(
     return search.best <= k
 
 
-def feasible_sets(g: Graph, kind: DominationKind, k: int, *, budget: int | None = None):
+def feasible_sets(g: Graph, kind: DominationKind, k: int):
     """Every feasible set of exactly k vertices, as tuples in `combinations`
-    order.  A branch is cut once its vertices and all later ones cannot cover
-    the graph; leaves are checked in full.  ScaleLimit if C(n, k) > budget."""
-    return _sweep(_Instance(g), kind, k, budget)
-
-
-def _sweep(inst: _Instance, kind: DominationKind, k: int, budget: int | None):
-    cap = search_budget() if budget is None else budget
-    if comb(inst.n, k) > cap:
-        raise ScaleLimit(f"C({inst.n},{k}) exceeds the {cap} subset budget")
-    ball = inst.cover_ball(kind)
-    later = [0] * (inst.n + 1)  # later[v]: union of the balls of v..n-1
-    for v in range(inst.n - 1, -1, -1):
+    order.  An include-first walk over vertex ids: a branch is cut once its
+    vertices and all later ones cannot cover the graph, and leaves are
+    checked in full.  ScaleLimit if C(n, k) > search_budget()."""
+    n = g.n
+    check_subsets(n, k)
+    full = g.full_mask()
+    ball = _balls(g, kind)
+    near = tuple(_near(g.rows, v) for v in range(n)) if kind is DominationKind.SEMITOTAL else None
+    later = [0] * (n + 1)  # later[v]: union of the balls of v..n-1
+    for v in range(n - 1, -1, -1):
         later[v] = later[v + 1] | ball[v]
     chosen: list[int] = []
 
     def extend(start: int, dmask: int, cover: int):
         left = k - len(chosen)
         if not left:
-            if _feasible_mask(inst, kind, dmask):
+            if cover == full and (near is None or all(near[v] & dmask for v in chosen)):
                 yield tuple(chosen)
             return
-        for v in range(start, inst.n - left + 1):
-            if cover | later[v] != inst.all:
+        for v in range(start, n - left + 1):
+            if cover | later[v] != full:
                 return
             chosen.append(v)
             yield from extend(v + 1, dmask | 1 << v, cover | ball[v])
@@ -318,20 +303,19 @@ def _sweep(inst: _Instance, kind: DominationKind, k: int, budget: int | None):
     yield from extend(0, 0, 0)
 
 
-def solve_by_enumeration(g: Graph, kind: DominationKind, *, budget: int | None = None) -> SolveResult:
+def solve_by_enumeration(g: Graph, kind: DominationKind) -> SolveResult:
     """Smallest feasible set by the subset sweep; independent of the search."""
     _check_solvable(g, kind)
-    inst = _Instance(g)
     for size in range(1, g.n + 1):
-        for d in _sweep(inst, kind, size, budget):
+        for d in feasible_sets(g, kind, size):
             return SolveResult(kind, size, frozenset(d))
     raise Infeasible(f"no feasible {kind.value} set exists")
 
 
-def enumerate_min_sets(g: Graph, kind: DominationKind, *, budget: int | None = None) -> list[frozenset[int]]:
+def enumerate_min_sets(g: Graph, kind: DominationKind) -> list[frozenset[int]]:
     """All minimum sets for the variant, in lexicographic subset order."""
-    value = solve(g, kind, budget=budget).value
-    return [frozenset(d) for d in feasible_sets(g, kind, value, budget=budget)]
+    value = solve(g, kind).value
+    return [frozenset(d) for d in feasible_sets(g, kind, value)]
 
 
 def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
@@ -339,8 +323,8 @@ def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
     dset = set(d)
     if v not in dset:
         raise NotInSet(f"vertex {v} is not in the given set")
-    inst = _Instance(g)
-    return frozenset(_bits(inst.ball2open[v] & vertex_mask(g, dset)))
+    dmask = vertex_mask(g, dset)
+    return frozenset(_bits(_near(g.rows, v) & dmask))
 
 
 def all_min_sds_independent(g: Graph) -> bool:

@@ -56,9 +56,6 @@ class Graph:
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.rows[u] >> v & 1)
 
@@ -110,33 +107,29 @@ def distance(g: Graph, u: int, v: int) -> float:
     return _bfs_dist(g.rows, g.n, u)[v]
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def _reach(rows, seen: int) -> int:
+    """Mask of every vertex reachable from the vertices of `seen`; rows maps
+    each reachable vertex to its neighbour mask."""
+    frontier = seen
     while frontier:
         nxt = 0
         for v in _bits(frontier):
-            nxt |= g.rows[v]
+            nxt |= rows[v]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == g.full_mask()
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or _reach(g.rows, 1) == g.full_mask()
+
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     todo = g.full_mask()
     out = []
     while todo:
-        start = (todo & -todo).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~seen
-            seen |= frontier
+        seen = _reach(g.rows, todo & -todo)
         out.append(frozenset(_bits(seen)))
         todo &= ~seen
     return out
@@ -190,33 +183,42 @@ def contract_edges(g: Graph, edges) -> tuple[Graph, dict[int, int]]:
         if not g.has_edge(u, v):
             raise InvalidEdge(f"contract_edges: ({u},{v}) is not an edge")
 
-    # union-find keeping the smallest id as the root of each class
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # each class of the selected edges folds into its smallest member
+    sel: dict[int, int] = {}
     for u, v in edge_list:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if ru > rv:
-                ru, rv = rv, ru
-            parent[rv] = ru
+        sel[u] = sel.get(u, 0) | 1 << v
+        sel[v] = sel.get(v, 0) | 1 << u
+    rows = list(g.rows)
+    root = list(range(g.n))
+    gone = 0
+    for r in sorted(sel):
+        if gone >> r & 1:
+            continue
+        cls = _reach(sel, 1 << r)
+        away = cls ^ 1 << r
+        merged = 0
+        for w in _bits(cls):
+            merged |= rows[w]
+            root[w] = r
+        rows[r] = merged = merged & ~cls
+        for x in _bits(merged):
+            rows[x] = rows[x] & ~away | 1 << r
+        gone |= away
 
-    survivors = sorted({find(v) for v in range(g.n)})
-    rank = {r: i for i, r in enumerate(survivors)}
-    vertex_map = {v: rank[find(v)] for v in range(g.n)}
-
-    rows = [0] * len(survivors)
-    for u, v in g.edges():
-        a, b = vertex_map[u], vertex_map[v]
-        if a != b:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return Graph(len(survivors), tuple(rows)), vertex_map
+    # close the gaps the merged-away ids leave, highest first
+    gaps = sorted(_bits(gone), reverse=True)
+    out = []
+    index = [0] * g.n
+    for v in range(g.n):
+        if gone >> v & 1:
+            index[v] = index[root[v]]
+            continue
+        row = rows[v]
+        for p in gaps:
+            row = row & ((1 << p) - 1) | row >> (p + 1) << p
+        index[v] = len(out)
+        out.append(row)
+    return Graph(len(out), tuple(out)), dict(enumerate(index))
 
 
 def disjoint_union(graphs) -> Graph:

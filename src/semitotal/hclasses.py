@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
 
-from .errors import Infeasible, PreconditionViolated, ScaleLimit
+from .errors import Infeasible, PreconditionViolated
 from .graphs import (
     Graph,
     _bits,
@@ -29,12 +28,13 @@ from .graphs import (
     inner_degrees,
     is_connected,
     path_graph,
+    vertex_mask,
 )
 from .domination import (
     DominationKind,
+    check_subsets,
     exists_within,
     feasible_sets,
-    search_budget,
     solve,
 )
 from .blocker import min_sds_has_friendly_triple
@@ -118,9 +118,7 @@ def find_A(g: Graph, k: int) -> frozenset[int] | None:
     pattern = _p3_plus(k - 1)
     if pattern.n > g.n:
         return None
-    cap = search_budget()
-    if comb(g.n, pattern.n) > cap:
-        raise ScaleLimit(f"C({g.n},{pattern.n}) subsets exceed the {cap} budget")
+    check_subsets(g.n, pattern.n)
     for combo in combinations(range(g.n), pattern.n):
         if contains_induced(g, pattern, within=combo) is not None:
             return frozenset(combo)
@@ -150,9 +148,7 @@ def regular_vertices(g: Graph, part: ABCPartition, k: int) -> frozenset[int]:
     ]
     if len(eligible) < k + 1:
         return frozenset()
-    cap = search_budget()
-    if comb(len(eligible), k + 1) > cap:
-        raise ScaleLimit(f"C({len(eligible)},{k + 1}) groups exceed the {cap} budget")
+    check_subsets(len(eligible), k + 1)
     dist = all_pairs_distances(g)
     regular: set[int] = set()
     for group in combinations(eligible, k + 1):
@@ -168,7 +164,7 @@ def abc_partition(g: Graph, anchor, k: int) -> ABCPartition:
     of the anchor and the far layer is independent; both facts are enforced
     rather than assumed.
     """
-    amask = sum(1 << v for v in set(anchor))
+    amask = vertex_mask(g, anchor)
     bmask = 0
     for v in _bits(amask):
         bmask |= g.rows[v]

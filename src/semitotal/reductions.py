@@ -104,10 +104,14 @@ def format_sat(inst: SatInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def brute_1in3(inst: SatInstance, *, max_vars: int = 25) -> tuple[bool, ...] | None:
+# brute_1in3 tries up to 2^n assignments; past this it raises ScaleLimit.
+BRUTE_MAX_VARS = 25
+
+
+def brute_1in3(inst: SatInstance) -> tuple[bool, ...] | None:
     """First satisfying assignment (False tried before True), else None."""
-    if inst.num_vars > max_vars:
-        raise ScaleLimit(f"brute_1in3 limited to {max_vars} variables")
+    if inst.num_vars > BRUTE_MAX_VARS:
+        raise ScaleLimit(f"brute_1in3 limited to {BRUTE_MAX_VARS} variables")
     nv = inst.num_vars
     true_cnt = [0] * len(inst.clauses)
     undecided = [3] * len(inst.clauses)
@@ -527,7 +531,7 @@ def _check(name, cond, detail="") -> CheckResult:
     return CheckResult(name, "pass" if cond else "fail", detail)
 
 
-def validate_reduction(out: ReductionOutput, *, budget: int | None = None) -> list[CheckResult]:
+def validate_reduction(out: ReductionOutput) -> list[CheckResult]:
     """Re-check structure and, at desk scale, the parameter identity."""
     g = out.graph
     checks = [_check("labels-total-injective",
@@ -554,7 +558,7 @@ def validate_reduction(out: ReductionOutput, *, budget: int | None = None) -> li
         checks.append(CheckResult("kind", "fail", f"unknown kind {out.kind}"))
         return checks
     try:
-        checks.append(_identity(out, solve(g, DominationKind.SEMITOTAL, budget=budget).value))
+        checks.append(_identity(out, solve(g, DominationKind.SEMITOTAL).value))
     except ScaleLimit as exc:
         checks.append(CheckResult("identity", "skipped", str(exc)))
     return checks

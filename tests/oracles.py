@@ -97,9 +97,9 @@ def brute_min_sets(n, edges, kind):
     return []
 
 
-def contract(n, edges, chosen):
-    """Quotient by the classes the chosen edges connect, smallest-member
-    relabelling, parallel edges and loops dropped."""
+def contract_map(n, chosen):
+    """Old id -> new id of the quotient by the classes the chosen edges
+    connect: each class takes the rank of its smallest member."""
     parent = list(range(n))
 
     def find(x):
@@ -114,12 +114,19 @@ def contract(n, edges, chosen):
             parent[max(ru, rv)] = min(ru, rv)
     roots = sorted({find(v) for v in range(n)})
     index = {r: i for i, r in enumerate(roots)}
+    return {v: index[find(v)] for v in range(n)}
+
+
+def contract(n, edges, chosen):
+    """Quotient by the classes the chosen edges connect, smallest-member
+    relabelling, parallel edges and loops dropped."""
+    vmap = contract_map(n, chosen)
     quotient = set()
     for u, v in edges:
-        a, b = index[find(u)], index[find(v)]
+        a, b = vmap[u], vmap[v]
         if a != b:
             quotient.add((min(a, b), max(a, b)))
-    return len(roots), sorted(quotient)
+    return len(set(vmap.values())), sorted(quotient)
 
 
 def brute_ct(n, edges, kind, kmax=3):

@@ -126,9 +126,10 @@ def test_solve_by_enumeration_agrees():
             assert solve_by_enumeration(g, kind).value == solve(g, kind).value
 
 
-def test_solve_by_enumeration_budget():
+def test_solve_by_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "5")
     with pytest.raises(ScaleLimit):
-        solve_by_enumeration(cycle_graph(9), SDS, budget=5)
+        solve_by_enumeration(cycle_graph(9), SDS)
 
 
 def test_enumerate_min_sets_matches_oracle():
@@ -153,11 +154,13 @@ def test_feasible_sets_match_subset_sweep():
                 assert list(feasible_sets(g, kind, k)) == want
 
 
-def test_feasible_sets_budget_counts_subsets():
+def test_feasible_sets_budget_counts_subsets(monkeypatch):
     c6 = cycle_graph(6)
-    assert len(list(feasible_sets(c6, SDS, 3, budget=comb(6, 3)))) > 0
+    monkeypatch.setenv("SEMITOTAL_BUDGET", str(comb(6, 3)))
+    assert len(list(feasible_sets(c6, SDS, 3))) > 0
+    monkeypatch.setenv("SEMITOTAL_BUDGET", str(comb(6, 3) - 1))
     with pytest.raises(ScaleLimit):
-        next(feasible_sets(c6, SDS, 3, budget=comb(6, 3) - 1))
+        next(feasible_sets(c6, SDS, 3))
 
 
 def test_exists_within_honours_budget_at_small_order():
@@ -165,11 +168,13 @@ def test_exists_within_honours_budget_at_small_order():
         exists_within(cycle_graph(9), SDS, 3, budget=1)
 
 
-def test_zero_budget_is_a_budget():
+def test_zero_budget_is_a_budget(monkeypatch):
     with pytest.raises(ScaleLimit):
         solve(cycle_graph(6), SDS, budget=0)
+    # the setting must be positive, so its smallest budget is 1
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1")
     with pytest.raises(ScaleLimit):
-        enumerate_min_sets(cycle_graph(6), SDS, budget=0)
+        enumerate_min_sets(cycle_graph(6), SDS)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5", "", "1e6", "\u0661"])
@@ -190,13 +195,14 @@ def test_search_budget_reads_the_setting(monkeypatch):
         solve(cycle_graph(6), SDS)
 
 
-def test_enumerate_min_sets_scale_guard():
+def test_enumerate_min_sets_scale_guard(monkeypatch):
     big = random_connected(16, 0.15, 3)
     if solve(big, SDS).value > 6:
         with pytest.raises(ScaleLimit):
             enumerate_min_sets(big, SDS)
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "10")
     with pytest.raises(ScaleLimit):
-        enumerate_min_sets(cycle_graph(12), SDS, budget=10)
+        enumerate_min_sets(cycle_graph(12), SDS)
 
 
 def test_witnesses_hand_cases():

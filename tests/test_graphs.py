@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from semitotal import (
     induced_subgraph,
     is_chordal,
     is_connected,
+    iter_connected_graphs,
     parse_edge_list,
     parse_pattern,
     path_graph,
@@ -120,6 +122,17 @@ def test_contract_matches_oracle_quotient(g, data):
     }
     assert mapped == set(h.edges())
     assert set(vmap.values()) == set(range(h.n))
+
+
+def test_contract_matches_oracle_exhaustively():
+    # every connected graph on at most 6 vertices, every set of one or two edges
+    for g in iter_connected_graphs(6, min_n=2):
+        edges = g.edges()
+        for k in (1, 2):
+            for chosen in combinations(edges, k):
+                h, vmap = contract_edges(g, chosen)
+                assert (h.n, h.edges()) == oracles.contract(g.n, edges, chosen)
+                assert vmap == oracles.contract_map(g.n, chosen)
 
 
 def test_generators():

@@ -16,7 +16,7 @@ from semitotal import (
     sds_size_threshold,
     star_graph,
 )
-from semitotal.errors import Infeasible, PreconditionViolated, ScaleLimit
+from semitotal.errors import Infeasible, InvalidEdge, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
 from semitotal.hclasses import ABCPartition, _min_ds_has_edge, abc_partition, find_A, regular_vertices
 
@@ -120,6 +120,14 @@ def test_abc_partition_rejects_far_layer_edge():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
     with pytest.raises(PreconditionViolated):
         abc_partition(g, frozenset({0, 1, 2}), 1)
+
+
+@pytest.mark.parametrize("anchor", [[-1], [7]])
+def test_abc_partition_rejects_anchor_outside_graph(anchor):
+    # a negative id once raised a bare ValueError from the shift, and an id
+    # past the order an IndexError
+    with pytest.raises(InvalidEdge):
+        abc_partition(path_graph(5), anchor, 1)
 
 
 def test_regular_vertices_needs_enough_candidates():

@@ -395,9 +395,10 @@ def test_validate_reduction_all_kinds():
         ]
 
 
-def test_validate_reduction_skips_identity_when_capped():
+def test_validate_reduction_skips_identity_when_capped(monkeypatch):
     out = reduce_tree(cycle_graph(5))
-    checks = validate_reduction(out, budget=10)
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "10")
+    checks = validate_reduction(out)
     by_name = {c.name: c for c in checks}
     assert by_name["identity"].status == "skipped"
     assert by_name["order"].status == "pass"
