@@ -71,12 +71,14 @@ from .reductions import (
     ReductionOutput,
     SatInstance,
     brute_1in3,
+    identity_check,
     parse_sat,
     reduce_2p3free,
     reduce_chordal,
     reduce_clawfree,
     reduce_tree,
     satisfying_sds,
+    structure_checks,
     validate_reduction,
 )
 from .hclasses import (

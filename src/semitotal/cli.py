@@ -257,7 +257,14 @@ def _cmd_characterize(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, dict, int]:
-    if args.target in ("tree", "chordal"):
+    graph_target = args.target in ("tree", "chordal")
+    if args.ell is not None and args.target != "chordal":
+        raise UsageError(f"--ell applies to the chordal target only, not {args.target}")
+    if not graph_target and (args.graph6 or args.file or args.stdin):
+        raise UsageError(f"the {args.target} target reads --sat, not a graph")
+    if graph_target and args.sat:
+        raise UsageError(f"--sat applies to the SAT targets only, not {args.target}")
+    if graph_target:
         g, digest = _load_graph(args)
         if args.target == "tree":
             out = reduce_tree(g)

@@ -25,7 +25,6 @@ from .errors import InvalidSetting, ScaleLimit
 from .graphs import (
     contains_induced,
     contract_edges,
-    is_chordal,
     random_connected,
     to_graph6,
 )
@@ -56,10 +55,11 @@ from .reductions import (
     CheckResult,
     SatInstance,
     _check,
-    brute_1in3,
+    identity_check,
     reduce_2p3free,
     reduce_chordal,
     reduce_tree,
+    structure_checks,
 )
 
 _DOM = DominationKind.DOMINATION
@@ -73,9 +73,7 @@ _MAX_HOST_SOURCE = 5
 _SAMPLE_ORDER, _SAMPLE_SEED, _SAMPLE_COUNT = 9, 0, 500
 
 _P5 = parse_pattern("P5")
-_P6 = parse_pattern("P6")
 _P3P2 = parse_pattern("P3+P2")
-_P4P2 = parse_pattern("P4+P2")
 _2P3 = parse_pattern("2P3")
 
 
@@ -189,12 +187,10 @@ def suite_tree_identity(max_n: int = 5) -> list[CheckResult]:
 
     def visit(g):
         out = reduce_tree(g)
-        gamma = solve(g, _DOM).value
-        value = solve(out.graph, _SDS).value
         src_yes = ct_exact(g, _DOM, 1) is not None
         dst_yes = ct_exact(out.graph, _SDS, 1) is not None
         return {
-            "expanded-value": value == gamma + out.meta["gamma_t2_offset"],
+            "expanded-value": identity_check(out).status == "pass",
             "one-contraction-transfers": src_yes == dst_yes,
         }
 
@@ -208,17 +204,12 @@ def suite_chordal_identity(max_n: int = 5) -> list[CheckResult]:
 
     def visit(g, ell):
         out = reduce_chordal(g, ell)
-        host = out.graph
-        gamma = solve(g, _DOM).value
-        value = solve(host, _SDS).value
         anchor = {out.labels["y"], out.labels["x_0"]}
         return {
-            "host-value": value == min(gamma + 1, ell + 1),
-            "host-class": is_chordal(host)
-            and is_h_free(host, _P6)
-            and is_h_free(host, _P4P2),
+            "host-value": identity_check(out).status == "pass",
+            "host-class": all(c.status == "pass" for c in structure_checks(out)),
             "minimum-sets-meet-pendant": all(
-                set(d) & anchor for d in enumerate_min_sets(host, _SDS)),
+                set(d) & anchor for d in enumerate_min_sets(out.graph, _SDS)),
         }
 
     graphs = [g for n in _orders(max_n, _MAX_HOST_SOURCE) for g in connected_graphs(n)]
@@ -262,10 +253,7 @@ def suite_2p3_encoding(max_n: int = 8) -> list[CheckResult]:
     instances = _covering_instances()
     bad_sat: list[str] = []
     for inst in instances:
-        out = reduce_2p3free(inst)
-        value = solve(out.graph, _SDS).value
-        satisfiable = brute_1in3(inst) is not None
-        if (value == out.meta["gamma_t2_target"]) != satisfiable:
+        if identity_check(reduce_2p3free(inst)).status != "pass":
             bad_sat.append(f"vars={inst.num_vars},clauses={inst.clauses}")
     checks = [_check(
         "encoding-identity", not bad_sat, _fail_detail(bad_sat, len(instances)))]

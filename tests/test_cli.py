@@ -179,6 +179,11 @@ def test_usage_errors(capsys):
         ["solve", "--graph6", C6, "--file", "x"],
         ["reduce", "--graph6", "A_", "--target", "chordal"],
         ["reduce", "--graph6", "A_", "--target", "clawfree"],
+        # flags a target does not read are refused, not ignored
+        ["reduce", "--target", "tree", "--graph6", "CF", "--ell", "5"],
+        ["reduce", "--target", "2p3free", "--sat", "F", "--graph6", "CF", "--ell", "3"],
+        ["reduce", "--target", "2p3free", "--sat", "F", "--graph6", "CF"],
+        ["reduce", "--target", "chordal", "--graph6", "CF", "--ell", "2", "--sat", "F"],
         ["solve", "--kind", "nope", "--graph6", C6],
     ):
         code, report = run_cli(capsys, *argv)

@@ -1,4 +1,6 @@
-from itertools import product
+import hashlib
+import json
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 
@@ -8,6 +10,7 @@ from semitotal import (
     SatInstance,
     brute_1in3,
     is_feasible,
+    iter_connected_graphs,
     parse_pattern,
     parse_sat,
     path_graph,
@@ -17,6 +20,7 @@ from semitotal import (
     reduce_tree,
     satisfying_sds,
     solve,
+    to_graph6,
     validate_reduction,
 )
 from semitotal.errors import Infeasible, InvalidInstance, ParseError, ScaleLimit
@@ -27,7 +31,13 @@ from semitotal.graphs import (
     is_chordal,
     is_connected,
 )
-from semitotal.reductions import build_variable_gadget, format_sat
+from semitotal import reductions
+from semitotal.reductions import (
+    BRUTE_MAX_VARS,
+    build_variable_gadget,
+    format_sat,
+    identity_check,
+)
 
 from oracles import is_tree
 
@@ -402,3 +412,74 @@ def test_validate_reduction_skips_identity_when_capped(monkeypatch):
     by_name = {c.name: c for c in checks}
     assert by_name["identity"].status == "skipped"
     assert by_name["order"].status == "pass"
+
+
+def test_identity_past_brute_force_scale(monkeypatch):
+    # 26 variables in 10 clauses: a 128-vertex host the search solves at once
+    clauses = tuple((v, v + 1, v + 2) for v in range(0, 24, 3)) + ((24, 25, 0), (1, 2, 3))
+    out = reduce_2p3free(SatInstance(BRUTE_MAX_VARS + 1, clauses))
+    assert out.graph.n == 128
+    with pytest.raises(ScaleLimit):
+        identity_check(out)
+    # the host's 2P3-free scan takes seconds and has no part in the skip
+    monkeypatch.setattr(reductions, "structure_checks", lambda out: [])
+    checks = validate_reduction(out)
+    assert [(c.name, c.status) for c in checks] == [("identity", "skipped")]
+    assert str(BRUTE_MAX_VARS) in checks[0].detail
+
+
+def test_unknown_kind_has_no_identity():
+    out = build_variable_gadget()
+    checks = validate_reduction(out)
+    assert [(c.name, c.status) for c in checks] == [
+        ("labels-total-injective", "pass"), ("kind", "fail")]
+    with pytest.raises(InvalidInstance):
+        identity_check(out)
+
+
+# -- frozen layouts ------------------------------------------------------
+
+
+def _instances(num_vars, sizes, keep):
+    """Clause multisets over sorted triples, in combinations order."""
+    for nv in num_vars:
+        pool = sorted(combinations(range(nv), 3))
+        for size in sizes(nv):
+            for clauses in combinations_with_replacement(pool, size):
+                inst = SatInstance(nv, clauses)
+                if keep(inst):
+                    yield inst
+
+
+def _constructions():
+    sources = list(iter_connected_graphs(5))
+    yield from (reduce_tree(g) for g in sources)
+    yield from (reduce_chordal(g, ell) for ell in (1, 2, 3) for g in sources)
+    # the covering census of the appB suite: 57 instances
+    census = _instances((3, 4), lambda nv: range(1, 5), lambda i: i.all_vars_used)
+    yield from (reduce_2p3free(inst) for inst in census)
+    # all 24 exactly-3-bounded instances on 3..5 variables and 18 on six
+    bounded = _instances(range(3, 7), lambda nv: (nv,), lambda i: i.exactly_3_bounded)
+    yield from (reduce_clawfree(inst) for inst in islice(bounded, 42))
+    yield build_variable_gadget()
+
+
+# Frozen vertex layouts: kind, graph6, labels and meta of 224 constructions.
+# The digest was computed by running this same loop on the builders that
+# still laid out their blocks by id arithmetic.
+CONSTRUCTION_DIGEST = "3146dfb043fa133a93dc37c0485741fbd00680e656f192ee08aa86043e6ed962"
+
+
+def test_construction_layouts_frozen():
+    digest = hashlib.sha256()
+    count = 0
+    for out in _constructions():
+        count += 1
+        digest.update(json.dumps([
+            out.kind,
+            to_graph6(out.graph),
+            sorted(out.labels.items()),
+            sorted(out.meta.items()),
+        ]).encode())
+    assert count == 224
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
