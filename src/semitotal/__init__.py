@@ -39,7 +39,6 @@ from .smallgraphs import connected_graphs, iter_connected_graphs
 from .domination import (
     DominationKind,
     SolveResult,
-    all_min_sds_independent,
     enumerate_min_sets,
     exists_within,
     feasible_sets,
@@ -62,8 +61,10 @@ from .blocker import (
     has_friendly_triple,
     match_st_configuration,
     min_sds_has_friendly_triple,
+    min_set_spans_edge,
     p4_forces_config,
     path_contraction_certificate,
+    replay_contraction,
     validate_ct_verdict,
 )
 from .reductions import (

@@ -5,10 +5,14 @@ parameter.  For semitotal domination with value at least 3 it is always at
 most 3; the value is pinned down by two structures found inside small
 dominating sets: friendly triples (ct = 1) and the seven two-contraction
 configurations O1..O7 (ct = 2), with a shortest-path contraction covering
-the remainder (ct = 3).  Plain and total domination classifiers for the
-same question are included for cross-checking.  Every value comes from
-`domination.solve`; the searches, the sweeps and the contraction scan all
-stop at SEMITOTAL_BUDGET.
+the remainder (ct = 3).  Huang and Xu's classifications for plain and total
+domination have the same shape, so one table, `_MECHANISMS`, lists each
+kind's ct = 1 structures (sought on sets of size value) and ct = 2
+structures (on sets of size value + 1), and one scan, `_first_carrying`,
+serves `characterize_ct`, both classifiers and `min_set_spans_edge`.  Every
+contraction claim is re-checked by one replay, `replay_contraction`.  Every
+value comes from `domination.solve`; the searches, the sweeps and the
+contraction scan all stop at SEMITOTAL_BUDGET.
 """
 
 from __future__ import annotations
@@ -22,14 +26,11 @@ from .graphs import (
     Graph,
     _bfs_dist,
     _bits,
-    contains_subgraph,
+    _pattern_plan,
     contract_edges,
     embed,
-    inner_degrees,
     is_connected,
     normalize_edge,
-    path_graph,
-    star_graph,
     vertex_mask,
 )
 from .patterns import parse_pattern
@@ -43,10 +44,11 @@ from .domination import (
     solve,
 )
 
+_SDS = DominationKind.SEMITOTAL
 _FLOOR = {
     DominationKind.DOMINATION: 1,
     DominationKind.TOTAL: 2,
-    DominationKind.SEMITOTAL: 2,
+    _SDS: 2,
 }
 
 
@@ -91,7 +93,15 @@ def ct_exact(
     return None
 
 
-# -- friendly triples ----------------------------------------------------
+def replay_contraction(g: Graph, kind: DominationKind, edges, before: int) -> int | None:
+    """The value after contracting the edges in g, re-solved, if it is below
+    before; None otherwise.  Every contraction claim is re-checked here."""
+    contracted, _ = contract_edges(g, edges)
+    after = solve(contracted, kind).value
+    return after if after < before else None
+
+
+# -- mechanism structures ------------------------------------------------
 
 
 # The rows the plans of this module check against, measured in the whole
@@ -124,27 +134,7 @@ def has_friendly_triple(g: Graph, d) -> tuple[int, int, int] | None:
     tried.  Contracting xy inside a minimum semitotal dominating set d
     lowers the parameter.
     """
-    return _triple_in(_tables(g), vertex_mask(g, d))
-
-
-def _triple_in(tables, dmask: int) -> tuple[int, int, int] | None:
-    return embed(tables, *_TRIPLE, (dmask,) * 3)
-
-
-def _first_carrying(g: Graph, tables, k: int, find):
-    """First semitotal dominating set of size k, with its hit, on which
-    find(tables, mask of the set) hits; None if there is none."""
-    for d in feasible_sets(g, DominationKind.SEMITOTAL, k):
-        hit = find(tables, vertex_mask(g, d))
-        if hit is not None:
-            return frozenset(d), hit
-    return None
-
-
-def min_sds_has_friendly_triple(g: Graph) -> tuple[frozenset[int], tuple[int, int, int]] | None:
-    """First minimum semitotal dominating set carrying a friendly triple."""
-    value = solve(g, DominationKind.SEMITOTAL).value
-    return _first_carrying(g, _tables(g), value, _triple_in)
+    return embed(_tables(g), *_TRIPLE, (vertex_mask(g, d),) * 3)
 
 
 # -- the seven two-contraction configurations ----------------------------
@@ -164,8 +154,8 @@ class STConfigId(Enum):
 class _ConfigSpec:
     roles: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]       # required edges, earlier role first
-    dist2: tuple[tuple[int, int], ...]       # required distance exactly 2
     thick: tuple[tuple[int, int], tuple[int, int]]
+    dist2: tuple[tuple[int, int], ...] = ()  # required distance exactly 2
     allow_equal: tuple[tuple[int, int], ...] = ()
 
 
@@ -176,7 +166,6 @@ CONFIG_SPECS: dict[STConfigId, _ConfigSpec] = {
     STConfigId.O1: _ConfigSpec(
         roles=("a", "b", "c", "d", "e", "f"),
         edges=((0, 1), (1, 2), (3, 4), (4, 5)),
-        dist2=(),
         thick=((0, 1), (3, 4)),
     ),
     STConfigId.O2: _ConfigSpec(
@@ -195,7 +184,6 @@ CONFIG_SPECS: dict[STConfigId, _ConfigSpec] = {
     STConfigId.O4: _ConfigSpec(
         roles=("x", "p", "q", "r"),
         edges=((0, 1), (0, 2), (0, 3)),
-        dist2=(),
         thick=((0, 1), (0, 2)),
     ),
     STConfigId.O5: _ConfigSpec(
@@ -237,12 +225,78 @@ def _config_plan(spec: _ConfigSpec):
     )
 
 
-_CONFIG_PLANS = {cid: _config_plan(spec) for cid, spec in CONFIG_SPECS.items()}
-
-
 def _thick_edges(spec: _ConfigSpec, hit) -> tuple[tuple[int, int], tuple[int, int]]:
     (a, b), (c, d) = spec.thick
     return normalize_edge(hit[a], hit[b]), normalize_edge(hit[c], hit[d])
+
+
+def _config_match(cid: STConfigId, hit) -> ConfigMatch:
+    spec = CONFIG_SPECS[cid]
+    return ConfigMatch(cid, dict(zip(spec.roles, hit)), _thick_edges(spec, hit))
+
+
+# -- the mechanism table and its scan ------------------------------------
+
+
+# Every structure a scan looks for, by name: the friendly triple, the
+# configurations O1..O7, and the patterns sought as subgraphs.
+_PLANS = {
+    "friendly-triple": _TRIPLE,
+    **{cid: _config_plan(spec) for cid, spec in CONFIG_SPECS.items()},
+    **{
+        p: _pattern_plan(parse_pattern(p), False)[1:]
+        for p in ("P2", "P3", "2P2", "P4", "claw", "2P3")
+    },
+}
+# distinct hosts a plan needs: one per role, less the roles that may repeat
+_NEEDS = {key: len(checks) - sum(map(bool, reuse)) for key, (checks, reuse) in _PLANS.items()}
+
+# For each kind, the structures for ct = 1, sought in minimum sets, and for
+# ct = 2, sought in sets one vertex larger, each in the order they are
+# tried; ct = 3 when neither occurs.  Plain domination's {P3, 2P2} is "two
+# edges inside the set".
+_MECHANISMS = {
+    _SDS: (("friendly-triple",), tuple(STConfigId)),
+    DominationKind.DOMINATION: (("P2",), ("P3", "2P2")),
+    DominationKind.TOTAL: (("P3",), ("P4", "claw", "2P3")),
+}
+
+
+def _first_embedding(tables, structures, mask: int):
+    """(structure, hosts) for the first of the structures that embeds with
+    every host in mask, hosts in lex order; None if none does."""
+    for key in structures:
+        if _NEEDS[key] <= mask.bit_count():
+            checks, reuse = _PLANS[key]
+            hit = embed(tables, checks, reuse, (mask,) * len(checks))
+            if hit is not None:
+                return key, hit
+    return None
+
+
+def _first_carrying(g: Graph, kind: DominationKind, size: int, structures):
+    """(set, structure, hosts) for the first feasible set of the given size,
+    in `combinations` order, that carries one of the structures, and the
+    first of them it carries; None if there is none."""
+    tables = _tables(g)
+    for d in feasible_sets(g, kind, size):
+        found = _first_embedding(tables, structures, vertex_mask(g, d))
+        if found is not None:
+            return frozenset(d), *found
+    return None
+
+
+def _read_ct(g: Graph, kind: DominationKind):
+    """(value, k, carrying): ct read off the mechanism table, with the
+    scan's find for k = 1 or 2; k is None at the floor."""
+    value = solve(g, kind).value
+    if value <= _FLOOR[kind]:
+        return value, None, None
+    for k, structures in enumerate(_MECHANISMS[kind], 1):
+        found = _first_carrying(g, kind, value + k - 1, structures)
+        if found is not None:
+            return value, k, found
+    return value, 3, None
 
 
 def match_st_configuration(g: Graph, s) -> ConfigMatch | None:
@@ -252,24 +306,27 @@ def match_st_configuration(g: Graph, s) -> ConfigMatch | None:
     s; distances are measured in the whole graph, not in the subgraph
     induced by s.
     """
-    return _config_in(_tables(g), vertex_mask(g, s))
+    found = _first_embedding(_tables(g), STConfigId, vertex_mask(g, s))
+    return None if found is None else _config_match(*found)
 
 
-def _config_in(tables, smask: int, cids=tuple(STConfigId)) -> ConfigMatch | None:
-    for cid in cids:
-        spec = CONFIG_SPECS[cid]
-        if len(spec.roles) - len(spec.allow_equal) > smask.bit_count():
-            continue  # too few members for the distinct roles
-        hit = embed(tables, *_CONFIG_PLANS[cid], (smask,) * len(spec.roles))
-        if hit is not None:
-            return ConfigMatch(cid, dict(zip(spec.roles, hit)), _thick_edges(spec, hit))
-    return None
+def min_sds_has_friendly_triple(g: Graph) -> tuple[frozenset[int], tuple[int, int, int]] | None:
+    """First minimum semitotal dominating set carrying a friendly triple."""
+    found = _first_carrying(g, _SDS, solve(g, _SDS).value, _MECHANISMS[_SDS][0])
+    return None if found is None else (found[0], found[2])
 
 
 def exists_plus1_sds_with_config(g: Graph) -> tuple[frozenset[int], ConfigMatch] | None:
     """Search all semitotal dominating sets of size value+1 for a config."""
-    value = solve(g, DominationKind.SEMITOTAL).value
-    return _first_carrying(g, _tables(g), value + 1, _config_in)
+    found = _first_carrying(g, _SDS, solve(g, _SDS).value + 1, _MECHANISMS[_SDS][1])
+    return None if found is None else (found[0], _config_match(*found[1:]))
+
+
+def min_set_spans_edge(g: Graph, kind: DominationKind) -> bool:
+    """Whether some minimum set of the kind has two adjacent members.  For
+    plain domination this is ct = 1; for semitotal domination on 2P3-free
+    graphs off the floor, too (App. B)."""
+    return _first_carrying(g, kind, solve(g, kind).value, ("P2",)) is not None
 
 
 # -- shortest-path fallback certificate ----------------------------------
@@ -294,16 +351,15 @@ def path_contraction_certificate(g: Graph) -> ContractionCertificate:
     at distance <= 2, then the member w closest to {u, v} (ties: smallest
     id) and contract a shortest path from w to the closer of u, v.
     """
-    value = solve(g, DominationKind.SEMITOTAL).value
-    return _path_certificate(g, _tables(g), value)
+    return _path_certificate(g, solve(g, _SDS).value)
 
 
-def _path_certificate(g: Graph, tables, value: int) -> ContractionCertificate:
+def _path_certificate(g: Graph, value: int) -> ContractionCertificate:
     if value < 3:
         raise FloorError(f"needs value >= 3, got {value}")
-    d = next(feasible_sets(g, DominationKind.SEMITOTAL, value))
+    d = next(feasible_sets(g, _SDS, value))
     # the first pair in lex order is also the first with u < v
-    pair = u, v = embed(tables, *_PAIR, (vertex_mask(g, d),) * 2)
+    pair = u, v = embed(_tables(g), *_PAIR, (vertex_mask(g, d),) * 2)
     du = _bfs_dist(g.rows, g.n, u)
     dv = _bfs_dist(g.rows, g.n, v)
     w = min((x for x in d if x not in pair), key=lambda x: (min(du[x], dv[x]), x))
@@ -311,7 +367,7 @@ def _path_certificate(g: Graph, tables, value: int) -> ContractionCertificate:
     path = _shortest_path(g, w, target)
     edges = tuple(normalize_edge(a, b) for a, b in zip(path, path[1:]))
     contracted, vmap = contract_edges(g, edges)
-    after = solve(contracted, DominationKind.SEMITOTAL).value
+    after = solve(contracted, _SDS).value
     return ContractionCertificate(edges, value, after, vmap)
 
 
@@ -325,120 +381,94 @@ class CtMechanism(Enum):
     PATH_CONTRACTION = "path-contraction"
 
 
+# ct as each mechanism gives it, in member order; None at the floor
+_CT = dict(zip(CtMechanism, (None, 1, 2, 3)))
+
+
 @dataclass(frozen=True)
 class CtVerdict:
     value: int
-    k: int | None
     mechanism: CtMechanism
     sds: frozenset[int] | None = None
     triple: tuple[int, int, int] | None = None
     match: ConfigMatch | None = None
     certificate: ContractionCertificate | None = None
 
+    @property
+    def k(self) -> int | None:
+        return _CT[self.mechanism]
+
 
 def characterize_ct(g: Graph) -> CtVerdict:
     """Determine ct for semitotal domination together with its witness."""
     if not is_connected(g):
         raise Infeasible("characterize_ct requires a connected graph")
-    value = solve(g, DominationKind.SEMITOTAL).value
-    if value == 2:
-        return CtVerdict(value, None, CtMechanism.FLOOR)
-    tables = _tables(g)
-    hit1 = _first_carrying(g, tables, value, _triple_in)
-    if hit1 is not None:
-        d, triple = hit1
-        return CtVerdict(value, 1, CtMechanism.FRIENDLY_TRIPLE, sds=d, triple=triple)
-    hit2 = _first_carrying(g, tables, value + 1, _config_in)
-    if hit2 is not None:
-        s, match = hit2
-        return CtVerdict(value, 2, CtMechanism.ST_CONFIGURATION, sds=s, match=match)
-    cert = _path_certificate(g, tables, value)
-    return CtVerdict(value, 3, CtMechanism.PATH_CONTRACTION, certificate=cert)
+    value, k, found = _read_ct(g, _SDS)
+    if k is None:
+        return CtVerdict(value, CtMechanism.FLOOR)
+    if k == 3:
+        cert = _path_certificate(g, value)
+        return CtVerdict(value, CtMechanism.PATH_CONTRACTION, certificate=cert)
+    s, key, hit = found
+    if k == 1:
+        return CtVerdict(value, CtMechanism.FRIENDLY_TRIPLE, sds=s, triple=hit)
+    return CtVerdict(value, CtMechanism.ST_CONFIGURATION, sds=s, match=_config_match(key, hit))
 
 
 def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
-    """Re-check a verdict's evidence directly against the graph."""
-    value = solve(g, DominationKind.SEMITOTAL).value
+    """Re-check a verdict's evidence directly against the graph: the set, its
+    structure and the thick edges it names, then its contraction claim by
+    `replay_contraction`."""
+    value = solve(g, _SDS).value
+    mechanism, cert, m = verdict.mechanism, verdict.certificate, verdict.match
     if verdict.value != value:
         return False
-    if verdict.mechanism is CtMechanism.FLOOR:
-        return value == 2 and verdict.k is None
-    if verdict.mechanism is CtMechanism.FRIENDLY_TRIPLE:
-        if verdict.k != 1 or verdict.sds is None or verdict.triple is None:
-            return False
-        if not (
-            len(verdict.sds) == value
-            and is_feasible(g, DominationKind.SEMITOTAL, verdict.sds)
-            and _realised(_tables(g), _TRIPLE, verdict.triple, verdict.sds)
-        ):
-            return False
-        contracted, _ = contract_edges(g, [verdict.triple[:2]])
-        return solve(contracted, DominationKind.SEMITOTAL).value < value
-    if verdict.mechanism is CtMechanism.ST_CONFIGURATION:
-        if verdict.k != 2 or verdict.sds is None or verdict.match is None:
-            return False
-        if len(verdict.sds) != value + 1:
-            return False
-        if not is_feasible(g, DominationKind.SEMITOTAL, verdict.sds):
-            return False
-        spec = CONFIG_SPECS[verdict.match.config]
-        hit = tuple(verdict.match.assignment.get(r) for r in spec.roles)
-        if not (
-            _realised(_tables(g), _CONFIG_PLANS[verdict.match.config], hit, verdict.sds)
-            and _thick_edges(spec, hit) == tuple(verdict.match.thick_edges)
-        ):
-            return False
-        contracted, _ = contract_edges(g, verdict.match.thick_edges)
-        return solve(contracted, DominationKind.SEMITOTAL).value < value
-    if verdict.mechanism is CtMechanism.PATH_CONTRACTION:
-        cert = verdict.certificate
-        if verdict.k != 3 or cert is None:
-            return False
-        if not 1 <= len(cert.edges) <= 3 or cert.value_before != value:
-            return False
-        contracted, _ = contract_edges(g, cert.edges)
-        after = solve(contracted, DominationKind.SEMITOTAL).value
-        return after == cert.value_after and after < value
-    return False
+    if mechanism is CtMechanism.FLOOR:
+        return value <= _FLOOR[_SDS]
+    if mechanism is CtMechanism.PATH_CONTRACTION:
+        return (
+            cert is not None
+            and 1 <= len(cert.edges) <= 3
+            and cert.value_before == value
+            and replay_contraction(g, _SDS, cert.edges, value) == cert.value_after
+        )
+    if mechanism is CtMechanism.FRIENDLY_TRIPLE and verdict.triple is not None:
+        plan, hosts, edges = _TRIPLE, verdict.triple, (verdict.triple[:2],)
+    elif mechanism is CtMechanism.ST_CONFIGURATION and m is not None:
+        spec = CONFIG_SPECS[m.config]
+        hosts = tuple(map(m.assignment.get, spec.roles))
+        plan, edges = _PLANS[m.config], m.thick_edges
+    else:
+        return False
+    s = verdict.sds
+    return (
+        s is not None
+        and len(s) == value + verdict.k - 1
+        and is_feasible(g, _SDS, s)
+        and _realised(_tables(g), plan, hosts, s)
+        and (mechanism is CtMechanism.FRIENDLY_TRIPLE or _thick_edges(spec, hosts) == tuple(edges))
+        and replay_contraction(g, _SDS, edges, value) is not None
+    )
 
 
 # -- prior classifications for plain and total domination ---------------
 
 
+def _classify(g: Graph, kind: DominationKind) -> int:
+    value, k, _ = _read_ct(g, kind)
+    if k is None:
+        raise FloorError(f"{kind.value} value {value} is at its floor and cannot decrease")
+    return k
+
+
 def classify_ct_domination(g: Graph) -> int:
     """1, 2 or 3 contractions needed to lower plain domination."""
-    value = solve(g, DominationKind.DOMINATION).value
-    if value < 2:
-        raise FloorError("plain domination at its floor cannot decrease")
-    for d in feasible_sets(g, DominationKind.DOMINATION, value):
-        if any(inner_degrees(g, d)):
-            return 1
-    for s in feasible_sets(g, DominationKind.DOMINATION, value + 1):
-        if sum(inner_degrees(g, s)) >= 4:  # two edges inside the set
-            return 2
-    return 3
-
-
-_P4 = path_graph(4)
-_CLAW = star_graph(4)
-_2P3 = parse_pattern("2P3")
+    return _classify(g, DominationKind.DOMINATION)
 
 
 def classify_ct_total(g: Graph) -> int:
     """1, 2 or 3 contractions needed to lower total domination."""
-    value = solve(g, DominationKind.TOTAL).value
-    if value < 3:
-        raise FloorError("total domination below 3 cannot decrease")
-    for d in feasible_sets(g, DominationKind.TOTAL, value):
-        if max(inner_degrees(g, d)) >= 2:
-            return 1  # a path on 3 vertices inside the set
-    for s in feasible_sets(g, DominationKind.TOTAL, value + 1):
-        if any(
-            contains_subgraph(g, pat, within=s) is not None
-            for pat in (_P4, _CLAW, _2P3)
-        ):
-            return 2
-    return 3
+    return _classify(g, DominationKind.TOTAL)
 
 
 def p4_forces_config(g: Graph, d) -> bool:
@@ -447,6 +477,7 @@ def p4_forces_config(g: Graph, d) -> bool:
     Vacuously true when d has no P4; otherwise checks the matcher finds one
     of the two hub configurations inside d.
     """
-    if contains_subgraph(g, _P4, within=d) is None:
+    tables, mask = _tables(g), vertex_mask(g, d)
+    if _first_embedding(tables, ("P4",), mask) is None:
         return True
-    return _config_in(_tables(g), vertex_mask(g, d), (STConfigId.O4, STConfigId.O6)) is not None
+    return _first_embedding(tables, (STConfigId.O4, STConfigId.O6), mask) is not None

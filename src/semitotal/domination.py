@@ -26,7 +26,7 @@ from math import comb
 from time import monotonic
 
 from .errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
-from .graphs import Graph, _bits, inner_degrees, is_connected, vertex_mask
+from .graphs import Graph, _bits, is_connected, vertex_mask
 
 DEFAULT_BUDGET = 10**8
 
@@ -325,10 +325,3 @@ def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
         raise NotInSet(f"vertex {v} is not in the given set")
     dmask = vertex_mask(g, dset)
     return frozenset(_bits(_near(g.rows, v) & dmask))
-
-
-def all_min_sds_independent(g: Graph) -> bool:
-    """True iff every minimum semitotal dominating set induces no edge."""
-    value = solve(g, DominationKind.SEMITOTAL).value
-    sets = feasible_sets(g, DominationKind.SEMITOTAL, value)
-    return not any(any(inner_degrees(g, d)) for d in sets)

@@ -143,12 +143,6 @@ def vertex_mask(g: Graph, vertices) -> int:
     return sum(1 << v for v in vs)
 
 
-def inner_degrees(g: Graph, vertices) -> list[int]:
-    """Neighbours each given vertex has among the given vertices, in order."""
-    mask = vertex_mask(g, vertices)
-    return [(g.rows[v] & mask).bit_count() for v in vertices]
-
-
 # -- derived graphs ------------------------------------------------------
 
 

@@ -25,7 +25,6 @@ from .graphs import (
     contains_induced,
     disjoint_union,
     induced_subgraph,
-    inner_degrees,
     is_connected,
     path_graph,
     vertex_mask,
@@ -34,10 +33,9 @@ from .domination import (
     DominationKind,
     check_subsets,
     exists_within,
-    feasible_sets,
     solve,
 )
-from .blocker import min_sds_has_friendly_triple
+from .blocker import min_sds_has_friendly_triple, min_set_spans_edge
 
 
 class HVerdict(Enum):
@@ -192,14 +190,6 @@ def sds_size_threshold(k: int, a: int) -> int:
     return (k + 1) * (a + 2) + k * (1 + 2 * (k + 1)) + 5 * a - 4
 
 
-def _min_ds_has_edge(g: Graph) -> bool:
-    """One contraction lowers plain domination iff some minimum dominating
-    set spans an edge."""
-    value = solve(g, DominationKind.DOMINATION).value
-    sets = feasible_sets(g, DominationKind.DOMINATION, value)
-    return any(any(inner_degrees(g, d)) for d in sets)
-
-
 def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
     """One contraction lowers the semitotal value of a connected P3+kP2-free
     graph.
@@ -228,7 +218,7 @@ def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
         return False
     part = abc_partition(g, anchor, k)
     if part.R:
-        return _min_ds_has_edge(g)
+        return min_set_spans_edge(g, DominationKind.DOMINATION)
     bound = sds_size_threshold(k, len(anchor))
     if not exists_within(g, DominationKind.SEMITOTAL, bound):
         return True

@@ -185,8 +185,9 @@ class _Builder:
         for u, v in zip(vs, vs[1:]):
             self.edge(u, v)
 
-    def graph(self) -> Graph:
-        return Graph.from_edges(self.count, self.edges)
+    def output(self, kind: str, meta: dict, **source) -> ReductionOutput:
+        graph = Graph.from_edges(self.count, self.edges)
+        return ReductionOutput(kind, graph, self.labels, meta, **source)
 
 
 # Every host is checked against this order before any of it is built.  A
@@ -194,6 +195,17 @@ class _Builder:
 # took 1.2 s and 63 MB for a chordal host of order 3005, 12 s and 400 MB for
 # one of order 9005.
 MAX_HOST_ORDER = 4096
+
+
+def _host_order(kind: str, source, ell: int = 0) -> int:
+    """Vertices of the kind's host on its source: a graph for tree and
+    chordal (with ell layers), a SAT instance for clawfree and 2p3free."""
+    if kind == "tree":
+        return 11 * source.n
+    if kind == "chordal":
+        return source.n * (ell + 1) + ell + 2
+    per_var, per_clause = {"clawfree": (41, 10), "2p3free": (3, 5)}[kind]
+    return per_var * source.num_vars + per_clause * len(source.clauses)
 
 
 def _check_host_order(order: int):
@@ -210,7 +222,7 @@ def reduce_tree(g: Graph) -> ReductionOutput:
     Each tree is a path a-b-c-d with three leaves on b and three on d; the
     attachment edge is v-a.  The output has 11|V(g)| vertices.
     """
-    _check_host_order(11 * g.n)
+    _check_host_order(_host_order("tree", g))
     if not is_connected(g):
         raise Infeasible("reduce_tree requires a connected source graph")
     b = _Builder()
@@ -223,13 +235,7 @@ def reduce_tree(g: Graph) -> ReductionOutput:
         for hub, leaf in ((bb, "y"), (d, "x")):
             for i in (1, 2, 3):
                 b.edge(hub, b.vertex(f"{leaf}_{v}^{i}"))
-    return ReductionOutput(
-        kind="tree",
-        graph=b.graph(),
-        labels=b.labels,
-        meta={"source_order": g.n, "gamma_t2_offset": 2 * g.n},
-        source_graph=g,
-    )
+    return b.output("tree", {"source_order": g.n, "gamma_t2_offset": 2 * g.n}, source_graph=g)
 
 
 # -- chordal layering ----------------------------------------------------
@@ -246,7 +252,7 @@ def reduce_chordal(g: Graph, ell: int) -> ReductionOutput:
         raise Infeasible("reduce_chordal requires a connected source graph")
     if ell < 1:
         raise InvalidInstance(f"layer count must be >= 1, got {ell}")
-    _check_host_order(g.n * (ell + 1) + ell + 2)
+    _check_host_order(_host_order("chordal", g, ell))
     b = _Builder()
     base, *layers = [[b.vertex(f"v_{j}^{i}") for j in range(g.n)] for i in range(ell + 1)]
     x0, *hubs = [b.vertex(f"x_{i}") for i in range(ell + 1)]
@@ -260,13 +266,7 @@ def reduce_chordal(g: Graph, ell: int) -> ReductionOutput:
             b.edge(x, v)
             for u in (j, *g.neighbors(j)):
                 b.edge(v, base[u])
-    return ReductionOutput(
-        kind="chordal",
-        graph=b.graph(),
-        labels=b.labels,
-        meta={"source_order": g.n, "ell": ell},
-        source_graph=g,
-    )
+    return b.output("chordal", {"source_order": g.n, "ell": ell}, source_graph=g)
 
 
 # -- claw-free SAT encoding ----------------------------------------------
@@ -312,7 +312,7 @@ def reduce_clawfree(sat: SatInstance) -> ReductionOutput:
     on x and t_c^x see P_{x,2}^c(1).
     """
     nv, nc = sat.num_vars, len(sat.clauses)
-    _check_host_order(41 * nv + 10 * nc)
+    _check_host_order(_host_order("clawfree", sat))
     if not sat.exactly_3_bounded:
         raise InvalidInstance("construction needs every variable in exactly 3 clauses")
     b = _Builder()
@@ -334,29 +334,15 @@ def reduce_clawfree(sat: SatInstance) -> ReductionOutput:
         for p in cl:
             b.edge(u_c, t[p])
             b.edge(t[p], paws[p][j][1][0])
-    return ReductionOutput(
-        kind="clawfree",
-        graph=b.graph(),
-        labels=b.labels,
-        meta={
-            "num_vars": nv,
-            "num_clauses": nc,
-            "gamma_t2_target": 14 * nv + nc,
-        },
-        source_sat=sat,
-    )
+    meta = {"num_vars": nv, "num_clauses": nc, "gamma_t2_target": 14 * nv + nc}
+    return b.output("clawfree", meta, source_sat=sat)
 
 
 def build_variable_gadget() -> ReductionOutput:
     """One isolated variable gadget (41 vertices) in clauses 0, 1 and 2."""
     b = _Builder()
     _variable_block(b, 0, (0, 1, 2))
-    return ReductionOutput(
-        kind="variable-gadget",
-        graph=b.graph(),
-        labels=b.labels,
-        meta={"per_gadget_lower_bound": 14},
-    )
+    return b.output("variable-gadget", {"per_gadget_lower_bound": 14})
 
 
 def satisfying_sds(out: ReductionOutput, assignment) -> frozenset[int]:
@@ -404,7 +390,7 @@ def reduce_2p3free(sat: SatInstance) -> ReductionOutput:
     variables; v_c^x sees T_x and the F vertices of the other two.
     """
     nv, nc = sat.num_vars, len(sat.clauses)
-    _check_host_order(3 * nv + 5 * nc)
+    _check_host_order(_host_order("2p3free", sat))
     if not sat.all_vars_used:
         raise InvalidInstance("every variable must occur in some clause")
     b = _Builder()
@@ -428,13 +414,8 @@ def reduce_2p3free(sat: SatInstance) -> ReductionOutput:
                 if r != s:
                     b.edge(vs[s], falses[r])
     b.clique(clause_vertices)
-    return ReductionOutput(
-        kind="2p3free",
-        graph=b.graph(),
-        labels=b.labels,
-        meta={"num_vars": nv, "num_clauses": nc, "gamma_t2_target": nv},
-        source_sat=sat,
-    )
+    meta = {"num_vars": nv, "num_clauses": nc, "gamma_t2_target": nv}
+    return b.output("2p3free", meta, source_sat=sat)
 
 
 # -- validation ----------------------------------------------------------
@@ -451,33 +432,28 @@ def _check(name, cond, detail="") -> CheckResult:
     return CheckResult(name, "pass" if cond else "fail", detail)
 
 
+# the induced patterns each kind's host avoids; every kind has an identity
+_HOST_FREE = {
+    "tree": {},
+    "chordal": {"p6-free": path_graph(6), "p4p2-free": parse_pattern("P4+P2")},
+    "clawfree": {"claw-free": star_graph(4)},
+    "2p3free": {"2p3-free": parse_pattern("2P3")},
+}
+
+
 def structure_checks(out: ReductionOutput) -> list[CheckResult]:
     """Labels, host order and host class; an unknown kind fails "kind"."""
     g = out.graph
     checks = [_check("labels-total-injective",
                      len(out.labels) == g.n and len(set(out.labels.values())) == g.n)]
-    free = {}
-    if out.kind == "tree":
-        order = 11 * out.source_graph.n
-    elif out.kind == "chordal":
-        ell = out.meta["ell"]
-        order = out.source_graph.n * (ell + 1) + ell + 2
-        free = {"p6-free": path_graph(6), "p4p2-free": parse_pattern("P4+P2")}
-    elif out.kind in ("clawfree", "2p3free"):
-        nv, nc = out.source_sat.num_vars, len(out.source_sat.clauses)
-        if out.kind == "clawfree":
-            order, free = 41 * nv + 10 * nc, {"claw-free": star_graph(4)}
-        else:
-            order, free = 3 * nv + 5 * nc, {"2p3-free": parse_pattern("2P3")}
-    else:
+    if out.kind not in _HOST_FREE:
         return checks + [CheckResult("kind", "fail", f"unknown kind {out.kind}")]
+    order = _host_order(out.kind, out.source_graph or out.source_sat, out.meta.get("ell", 0))
     checks.append(_check("order", g.n == order, f"order {g.n}"))
     if out.kind == "chordal":
         checks.append(_check("chordal", is_chordal(g)))
+    free = _HOST_FREE[out.kind]
     return checks + [_check(name, contains_induced(g, h) is None) for name, h in free.items()]
-
-
-_IDENTITY_KINDS = ("tree", "chordal", "clawfree", "2p3free")
 
 
 def identity_check(out: ReductionOutput) -> CheckResult:
@@ -492,7 +468,7 @@ def identity_check(out: ReductionOutput) -> CheckResult:
     ScaleLimit from the solves or from brute_1in3 propagates; a kind with
     no identity raises InvalidInstance.
     """
-    if out.kind not in _IDENTITY_KINDS:
+    if out.kind not in _HOST_FREE:
         raise InvalidInstance(f"no identity for kind {out.kind}")
     value = solve(out.graph, DominationKind.SEMITOTAL).value
     if out.kind in ("tree", "chordal"):
@@ -514,7 +490,7 @@ def identity_check(out: ReductionOutput) -> CheckResult:
 def validate_reduction(out: ReductionOutput) -> list[CheckResult]:
     """Structure checks, then the identity, reported "skipped" past scale."""
     checks = structure_checks(out)
-    if out.kind not in _IDENTITY_KINDS:
+    if out.kind not in _HOST_FREE:
         return checks
     try:
         checks.append(identity_check(out))

@@ -24,7 +24,6 @@ from itertools import combinations, combinations_with_replacement
 from .errors import InvalidSetting, ScaleLimit
 from .graphs import (
     contains_induced,
-    contract_edges,
     random_connected,
     to_graph6,
 )
@@ -32,7 +31,6 @@ from .patterns import parse_pattern
 from .smallgraphs import connected_graphs
 from .domination import (
     DominationKind,
-    all_min_sds_independent,
     enumerate_min_sets,
     solve,
 )
@@ -41,7 +39,9 @@ from .blocker import (
     classify_ct_domination,
     classify_ct_total,
     ct_exact,
+    min_set_spans_edge,
     path_contraction_certificate,
+    replay_contraction,
     validate_ct_verdict,
 )
 from .hclasses import (
@@ -119,11 +119,6 @@ def _per_order(max_n: int, cap: int, stems: tuple[str, ...], visit) -> list[Chec
     ]
 
 
-def _one(res) -> bool:
-    """A ct_exact result says exactly one contraction."""
-    return res is not None and res[0] == 1
-
-
 def suite_contraction_bound(max_n: int = 7) -> list[CheckResult]:
     """Three contractions always suffice, and the constructive certificate
     really lowers the value."""
@@ -132,15 +127,11 @@ def suite_contraction_bound(max_n: int = 7) -> list[CheckResult]:
         value = solve(g, _SDS).value
         if value < 3:
             return {}
-        res = ct_exact(g, _SDS, 3)
         cert = path_contraction_certificate(g)
-        contracted, _map = contract_edges(g, cert.edges)
-        after = solve(contracted, _SDS).value
         return {
-            "ct-at-most-3": res is not None and res[0] <= 3,
+            "ct-at-most-3": ct_exact(g, _SDS, 3) is not None,
             "certificate-drops": len(cert.edges) <= 3
-            and after < value
-            and after == cert.value_after,
+            and replay_contraction(g, _SDS, cert.edges, value) == cert.value_after,
         }
 
     return _per_order(
@@ -237,7 +228,7 @@ def _covering_instances() -> list[SatInstance]:
 
 def _independence_equivalence(g) -> bool:
     """One contraction helps iff some minimum set spans an edge."""
-    return (ct_exact(g, _SDS, 1) is not None) != all_min_sds_independent(g)
+    return (ct_exact(g, _SDS, 1) is not None) == min_set_spans_edge(g, _SDS)
 
 
 def suite_2p3_encoding(max_n: int = 8) -> list[CheckResult]:
@@ -299,10 +290,10 @@ def suite_p5free_decider(max_n: int = 7) -> list[CheckResult]:
     def visit(g):
         if not is_h_free(g, _P5):
             return {}
-        one = _one(ct_exact(g, _SDS, 3))
+        one = ct_exact(g, _SDS, 1) is not None
         return {
             "high-value-forces-one": solve(g, _SDS).value < 3 or one,
-            "domination-analogue": solve(g, _DOM).value < 3 or _one(ct_exact(g, _DOM, 3)),
+            "domination-analogue": solve(g, _DOM).value < 3 or ct_exact(g, _DOM, 1) is not None,
             "decider-matches-oracle": ec1_gt2_p5free(g) == one,
         }
 
@@ -318,13 +309,13 @@ def suite_p3kp2_decider(max_n: int = 7) -> list[CheckResult]:
     def visit(g):
         if not is_h_free(g, _P3P2):
             return {}
-        oracle = _one(ct_exact(g, _SDS, 3))
+        oracle = ct_exact(g, _SDS, 1) is not None
         passed = {"decider-matches-oracle": ec1_gt2_p3kp2free(g, 1) == oracle}
         anchor = find_A(g, 1)
         if anchor is not None and abc_partition(g, anchor, 1).R:
             gamma = solve(g, _DOM).value
             gt2 = solve(g, _SDS).value
-            dom_one = _one(ct_exact(g, _DOM, 3))
+            dom_one = ct_exact(g, _DOM, 1) is not None
             passed["regular-vertex-consequences"] = gamma == gt2 and dom_one == oracle
         return passed
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,45 @@ def test_characterize_ct_validates_everywhere():
         assert validate_ct_verdict(g, verdict)
         res = ct_exact(g, SDS, 3)
         assert verdict.k == (None if res is None else res[0])
+
+
+def test_validate_ct_verdict_rejects_tampered_evidence():
+    # one piece of evidence changed at a time, on one verdict per mechanism
+    c6 = cycle_graph(6)
+    v = characterize_ct(c6)
+    assert (v.sds, v.triple) == (frozenset({0, 1, 3}), (0, 1, 3))
+    config_graph = from_graph6("F?LS_")
+    w = characterize_ct(config_graph)
+    assert w.match.assignment == {"a": 4, "b": 3, "c": 0, "d": 5}
+    moved = {**w.match.assignment, "c": 6}  # 6 is outside sds
+    path = from_graph6("JCGSE__Q?G?")
+    p = characterize_ct(path)
+    assert (p.value, p.mechanism) == (4, CtMechanism.PATH_CONTRACTION)
+    cert = p.certificate
+    tampered = [
+        (c6, replace(v, value=2)),
+        (c6, replace(v, value=4)),
+        (c6, replace(v, sds=frozenset({0, 1, 3, 4}))),  # feasible, one too many
+        (c6, replace(v, sds=frozenset({0, 1, 2}), triple=(0, 1, 2))),  # misses 4
+        (c6, replace(v, triple=(0, 1, 2))),  # 2 is outside sds
+        (c6, replace(v, triple=(0, 3, 1))),  # 0 and 3 are not adjacent
+        (c6, replace(v, mechanism=CtMechanism.FLOOR)),
+        (path_graph(4), replace(characterize_ct(path_graph(4)), value=3)),
+        (config_graph, replace(w, value=2)),
+        (config_graph, replace(w, value=4)),
+        (config_graph, replace(w, sds=w.sds | {6})),  # feasible, one too many
+        (config_graph, replace(w, sds=frozenset({1, 3, 4, 5}))),  # misses 0
+        (config_graph, replace(w, match=replace(w.match, assignment=moved))),
+        (config_graph, replace(w, match=replace(w.match, thick_edges=w.match.thick_edges[::-1]))),
+        (path, replace(p, value=3)),
+        (path, replace(p, value=5)),
+        (path, replace(p, certificate=replace(cert, value_after=cert.value_after - 1))),
+        (path, replace(p, certificate=replace(cert, value_after=cert.value_after + 1))),
+    ]
+    for g, verdict in [(c6, v), (config_graph, w), (path, p)]:
+        assert validate_ct_verdict(g, verdict)
+    for g, verdict in tampered:
+        assert not validate_ct_verdict(g, verdict), verdict
 
 
 def test_variant_classifiers_frozen():

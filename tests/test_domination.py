@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from semitotal import (
     DominationKind,
-    all_min_sds_independent,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -20,6 +19,7 @@ from semitotal import (
     feasible_sets,
     is_feasible,
     iter_connected_graphs,
+    min_set_spans_edge,
     path_graph,
     solve,
     solve_by_enumeration,
@@ -210,13 +210,13 @@ def test_witnesses_hand_cases():
         witnesses_of(c6, d, 2)
 
 
-def test_all_min_sds_independent():
+def test_min_sds_spans_edge():
     # K3's unique-size-2 solutions are adjacent pairs
-    assert not all_min_sds_independent(complete_graph(3))
+    assert min_set_spans_edge(complete_graph(3), SDS)
     # C6 has the independent {0,2,4} but also sets with edges
-    assert not all_min_sds_independent(cycle_graph(6))
+    assert min_set_spans_edge(cycle_graph(6), SDS)
     # star: every minimum SDS is the centre plus one leaf, always adjacent
-    assert not all_min_sds_independent(star_graph(5))
+    assert min_set_spans_edge(star_graph(5), SDS)
     # C4: pairs at distance two work, oracle confirms an all-independent case
     c4 = cycle_graph(4)
     mins = oracles.brute_min_sets(*oracles.edge_data(c4), "semitotal")
@@ -225,7 +225,7 @@ def test_all_min_sds_independent():
         for d in mins
         if any(c4.has_edge(u, v) for u in d for v in d if u < v)
     }
-    assert all_min_sds_independent(c4) == (not has_edge)
+    assert min_set_spans_edge(c4, SDS) == bool(has_edge)
 
 
 def _search_answers():

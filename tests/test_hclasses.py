@@ -1,6 +1,7 @@
 import pytest
 
 from semitotal import (
+    DominationKind,
     HVerdict,
     classify_h,
     complete_graph,
@@ -10,6 +11,7 @@ from semitotal import (
     ec1_gt2_p5free,
     is_h_free,
     iter_connected_graphs,
+    min_set_spans_edge,
     parse_pattern,
     path_graph,
     poly_dispatch,
@@ -18,9 +20,11 @@ from semitotal import (
 )
 from semitotal.errors import Infeasible, InvalidEdge, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
-from semitotal.hclasses import ABCPartition, _min_ds_has_edge, abc_partition, find_A, regular_vertices
+from semitotal.hclasses import ABCPartition, abc_partition, find_A, regular_vertices
 
 import oracles
+
+DOM = DominationKind.DOMINATION
 
 # pattern text -> (verdict value, reason tag, t, p)
 CLASSIFY_FIXTURES = [
@@ -196,10 +200,10 @@ def test_p3kp2_decider_matches_oracle():
 
 
 def test_min_ds_edge_scan_fixtures():
-    assert _min_ds_has_edge(cycle_graph(4))
-    assert _min_ds_has_edge(path_graph(4))
-    assert not _min_ds_has_edge(cycle_graph(6))
-    assert not _min_ds_has_edge(star_graph(3))
+    assert min_set_spans_edge(cycle_graph(4), DOM)
+    assert min_set_spans_edge(path_graph(4), DOM)
+    assert not min_set_spans_edge(cycle_graph(6), DOM)
+    assert not min_set_spans_edge(star_graph(3), DOM)
 
 
 def test_min_ds_edge_scan_matches_domination_oracle():
@@ -207,7 +211,7 @@ def test_min_ds_edge_scan_matches_domination_oracle():
     # one-contraction condition for plain domination
     for g in iter_connected_graphs(6, min_n=2):
         n, edges = oracles.edge_data(g)
-        assert _min_ds_has_edge(g) == (oracles.brute_ct(n, edges, "domination") == 1)
+        assert min_set_spans_edge(g, DOM) == (oracles.brute_ct(n, edges, "domination") == 1)
 
 
 def test_poly_dispatch_routes():

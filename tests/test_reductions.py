@@ -20,6 +20,7 @@ from semitotal import (
     reduce_tree,
     satisfying_sds,
     solve,
+    structure_checks,
     to_graph6,
     validate_reduction,
 )
@@ -70,6 +71,21 @@ def test_sat_instance_validation():
         SatInstance(2, ((0, 1, 2),))
     with pytest.raises(InvalidInstance):
         SatInstance(0, ())
+
+
+def test_tree_host_order_boundary(monkeypatch):
+    # 11 * 372 = 4092 fits under MAX_HOST_ORDER = 4096; 11 * 373 = 4103 does not
+    assert reductions.MAX_HOST_ORDER == 4096
+    out = reduce_tree(path_graph(372))
+    assert out.graph.n == 4092
+    assert [c.status for c in structure_checks(out) if c.name == "order"] == ["pass"]
+
+    def no_build(*_):
+        raise AssertionError("a host was built")
+
+    monkeypatch.setattr(reductions, "_Builder", no_build)
+    with pytest.raises(InvalidInstance, match="4103 vertices"):
+        reduce_tree(path_graph(373))
 
 
 def test_parse_format_round_trip():

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import semitotal
 
@@ -31,3 +33,26 @@ def test_only_the_search_entry_points_take_limits():
         ("domination.exists_within", "deadline"),
     }
 
+
+
+def _traced_names():
+    """The (module, attribute) keys of perfbench's TRACED table, read from
+    its source so the benchmark's own imports are not needed."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/run.py has no TRACED table")
+
+
+def _defined_in(module: str, attr: str) -> bool:
+    fn = getattr(importlib.import_module(f"semitotal.{module}"), attr, None)
+    return callable(fn) and getattr(fn, "__module__", None) == f"semitotal.{module}"
+
+
+def test_traced_names_are_package_functions():
+    # `run.py --trace 1` wraps each of these by name; some are lru_cached
+    missing = [
+        f"{module}.{attr}" for module, attr in _traced_names() if not _defined_in(module, attr)
+    ]
+    assert not missing
