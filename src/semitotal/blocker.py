@@ -240,13 +240,11 @@ def _config_match(cid: STConfigId, hit) -> ConfigMatch:
 
 # Every structure a scan looks for, by name: the friendly triple, the
 # configurations O1..O7, and the patterns sought as subgraphs.
+_SUBGRAPHS = ("P2", "P3", "2P2", "P4", "claw", "2P3")
 _PLANS = {
     "friendly-triple": _TRIPLE,
     **{cid: _config_plan(spec) for cid, spec in CONFIG_SPECS.items()},
-    **{
-        p: _pattern_plan(parse_pattern(p), False)[1:]
-        for p in ("P2", "P3", "2P2", "P4", "claw", "2P3")
-    },
+    **{p: _pattern_plan(parse_pattern(p), False)[1:] for p in _SUBGRAPHS},
 }
 # distinct hosts a plan needs: one per role, less the roles that may repeat
 _NEEDS = {key: len(checks) - sum(map(bool, reuse)) for key, (checks, reuse) in _PLANS.items()}
@@ -277,8 +275,9 @@ def _first_embedding(tables, structures, mask: int):
 def _first_carrying(g: Graph, kind: DominationKind, size: int, structures):
     """(set, structure, hosts) for the first feasible set of the given size,
     in `combinations` order, that carries one of the structures, and the
-    first of them it carries; None if there is none."""
-    tables = _tables(g)
+    first of them it carries; None if there is none.  Subgraph plans read
+    adjacency only, so they get no distance tables."""
+    tables = (g.rows,) if set(structures) <= set(_SUBGRAPHS) else _tables(g)
     for d in feasible_sets(g, kind, size):
         found = _first_embedding(tables, structures, vertex_mask(g, d))
         if found is not None:

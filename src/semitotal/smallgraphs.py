@@ -1,82 +1,83 @@
 """Exhaustive enumeration of small connected graphs up to isomorphism.
 
 Graphs on n vertices are built by attaching a new vertex (every nonempty
-neighbourhood) to each connected graph on n-1 vertices, deduplicating by an
-invariant bucket plus explicit isomorphism tests.  Representatives are
-canonically relabelled so that enumeration order is reproducible.
+neighbourhood) to each connected graph on n-1 vertices.  A candidate is
+kept only if no old vertex v with C - v connected beats the new vertex on
+f(v) = (degree, sum of the neighbours' degrees); the survivors are
+canonically labelled and deduplicated.  Every class arises: it has a
+non-cut vertex of maximal f, deleting it leaves a connected
+representative, and one of that representative's masks puts the new
+vertex in its place, a candidate the filter keeps (canonical deletion,
+McKay 1998, with f as the vertex invariant).  The filter only rejects and
+the canonical form is a complete invariant, so each class appears once.
+Representatives are sorted by graph6 so enumeration order is reproducible.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _bits, contains_induced, to_graph6
+from .graphs import Graph, _bits, _reach, to_graph6
 
 # connected graphs up to isomorphism on 1..8 vertices
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
-def _invariant(g: Graph) -> tuple:
-    degs = [g.degree(v) for v in range(g.n)]
-    tri = [
-        sum((g.rows[v] & g.rows[w]).bit_count() for w in _bits(g.rows[v])) // 2
-        for v in range(g.n)
-    ]
-    profile = sorted(
-        (degs[v], tri[v], tuple(sorted(degs[w] for w in _bits(g.rows[v]))))
-        for v in range(g.n)
-    )
-    return (g.n, g.m, tuple(profile))
-
-
 def canonical_form(g: Graph) -> Graph:
-    """Relabel g to minimise its graph6 bitstring over all permutations."""
-    n = g.n
+    """Relabel g to minimise its graph6 bitstring over all permutations.
+
+    Column pos of the bitstring is the adjacency of the vertex placed at pos
+    to those placed before it, kept for each unplaced vertex as one int,
+    first placed vertex in the highest bit.  Only the vertices whose code is
+    the level's minimum can start the least completion.  Of those, a twin of
+    one already tried is skipped: swapping two twins is an automorphism that
+    fixes the placed prefix, so its subtree gives the same codes.
+    """
+    n, rows = g.n, g.rows
     if n <= 1:
         return g
-    best_chunks: list[tuple[int, ...]] | None = None
-    best_perm: list[int] | None = None
-    placed: list[int] = []
+    best: list[int] = []  # the least code sequence found, and its labelling
+    best_perm: list[int] = []
+    codes: list[int] = []
+    perm: list[int] = []
 
-    # cmp: 0 = prefix equals the current best, -1 = strictly smaller.
-    # Returns True when the best code was replaced inside this subtree, so
-    # callers can reset their comparison state to "equal prefix".
-    def dfs(pos: int, used: int, chunks: list[tuple[int, ...]], cmp: int) -> bool:
-        nonlocal best_chunks, best_perm
-        if pos == n:
-            if cmp < 0 or best_chunks is None:
-                best_chunks = list(chunks)
-                best_perm = list(placed)
-                return True
-            return False
-        updated = False
-        for old in range(n):
-            if used >> old & 1:
+    # tight: the codes so far equal best's prefix (False: strictly smaller,
+    # or no best yet).  Returns True when best was replaced in the subtree,
+    # which leaves the caller's prefix equal to the new best's.
+    def dfs(free: dict[int, int], tight: bool) -> bool:
+        if not free:
+            if tight:
+                return False
+            best[:], best_perm[:] = codes, perm
+            return True
+        low = min(free.values())
+        if tight:
+            ref = best[len(codes)]
+            if low > ref:
+                return False
+            tight = low == ref
+        replaced = False
+        tried: list[int] = []
+        for v, code in free.items():
+            if code != low or any(rows[u] & ~(1 << v) == rows[v] & ~(1 << u) for u in tried):
                 continue
-            chunk = tuple(g.rows[placed[i]] >> old & 1 for i in range(pos))
-            if best_chunks is None or cmp < 0:
-                step_cmp = -1
-            else:
-                ref = best_chunks[pos]
-                if chunk > ref:
-                    continue
-                step_cmp = -1 if chunk < ref else 0
-            placed.append(old)
-            chunks.append(chunk)
-            if dfs(pos + 1, used | 1 << old, chunks, step_cmp):
-                updated = True
-                cmp = 0
-            chunks.pop()
-            placed.pop()
-        return updated
+            tried.append(v)
+            codes.append(low)
+            perm.append(v)
+            row = rows[v]
+            if dfs({w: c << 1 | row >> w & 1 for w, c in free.items() if w != v}, tight):
+                tight = replaced = True
+            perm.pop()
+            codes.pop()
+        return replaced
 
-    dfs(0, 0, [], 0)
-    perm = {old: new for new, old in enumerate(best_perm)}
-    rows = [0] * n
+    dfs(dict.fromkeys(range(n), 0), False)
+    new = {old: i for i, old in enumerate(best_perm)}
+    out = [0] * n
     for u, v in g.edges():
-        rows[perm[u]] |= 1 << perm[v]
-        rows[perm[v]] |= 1 << perm[u]
-    return Graph(n, tuple(rows))
+        out[new[u]] |= 1 << new[v]
+        out[new[v]] |= 1 << new[u]
+    return Graph(n, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -90,17 +91,18 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (Graph(1, (0,)),)
-    buckets: dict[tuple, list[Graph]] = {}
+    new, full = n - 1, (1 << n) - 1
+    reps: set[Graph] = set()
     for g in connected_graphs(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            cand = Graph(n, tuple(r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(g.rows)) + (mask,))
-            key = _invariant(cand)  # holds n and m, so a copy is an isomorphism
-            bucket = buckets.setdefault(key, [])
-            if not any(contains_induced(rep, cand) is not None for rep in bucket):
-                bucket.append(cand)
-    reps = [canonical_form(g) for bucket in buckets.values() for g in bucket]
-    reps.sort(key=to_graph6)
-    return tuple(reps)
+        for mask in range(1, 1 << new):
+            rows = tuple(r | (mask >> v & 1) << new for v, r in enumerate(g.rows)) + (mask,)
+            f = [(r.bit_count(), sum(rows[w].bit_count() for w in _bits(r))) for r in rows]
+            if not any(
+                f[v] > f[new] and _reach([r & ~(1 << v) for r in rows], 1 << new) == full ^ 1 << v
+                for v in range(new)
+            ):
+                reps.add(canonical_form(Graph(n, rows)))
+    return tuple(sorted(reps, key=to_graph6))
 
 
 def iter_connected_graphs(max_n: int, min_n: int = 1):

@@ -7,8 +7,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from semitotal import random_connected
 
-DEEP = os.environ.get("SEMITOTAL_DEEP") == "1"
-
 
 @st.composite
 def connected_graphs_st(draw, min_n=2, max_n=9):

@@ -3,7 +3,8 @@
 Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
 bitmask solvers under test; `relabel` builds a Graph only to feed
-permuted inputs to the code under test.
+permuted inputs to the code under test, and `brute_canonical` returns one
+only so its answer compares with the labeller's.
 """
 
 from itertools import combinations, permutations
@@ -40,6 +41,18 @@ def bfs_distances(adj, src):
 def relabel(g, perm):
     """g with each vertex v renamed perm[v]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def brute_canonical(g):
+    """g relabelled to the least graph6 bitstring over every permutation."""
+    n, edges = edge_data(g)
+    adj = adjacency(n, edges)
+
+    def bits(order):  # order[new] = old
+        return tuple(order[i] in adj[order[j]] for j in range(1, n) for i in range(j))
+
+    best = min(permutations(range(n)), key=bits)
+    return relabel(g, [best.index(v) for v in range(n)])
 
 
 def is_tree(g):

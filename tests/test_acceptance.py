@@ -1,11 +1,10 @@
 """Acceptance gate: one test per criterion, every tolerance exact.
 
-The two exhaustive contraction sweeps run at order 7 by default and at
-order 8 when SEMITOTAL_DEEP=1; everything else already runs at its full
-stated scale.  The 153-vertex claw-free identity is attempted under a
-10-minute deadline and reported as skipped when the search runs out of
-time, which the criterion accepts; SEMITOTAL_AC7_SECONDS shortens the
-attempt for development runs.
+Every criterion runs at its full stated scale, the two exhaustive
+contraction sweeps over every connected graph up to order 8.  The
+153-vertex claw-free identity is attempted under a 10-minute deadline and
+reported as skipped when the search runs out of time, which the criterion
+accepts; SEMITOTAL_AC7_SECONDS shortens the attempt for development runs.
 """
 
 import os
@@ -36,12 +35,10 @@ from semitotal import (
 )
 from semitotal.reductions import build_variable_gadget
 
-from conftest import DEEP
 from test_reductions import paw_lower_bound_holds
 
 SDS = DominationKind.SEMITOTAL
 
-SWEEP_MAX = 8 if DEEP else 7
 AC7_SECONDS = float(os.environ.get("SEMITOTAL_AC7_SECONDS", "600"))
 
 # mechanism token -> contraction count it certifies
@@ -75,11 +72,11 @@ def _assert_all_pass(checks):
 
 
 def test_ac01_three_contractions_always_suffice():
-    _assert_all_pass(run_suite("thm32", max_n=SWEEP_MAX))
+    _assert_all_pass(run_suite("thm32", max_n=8))
 
 
 def test_ac02_characterization_matches_contraction_oracle():
-    _assert_all_pass(run_suite("thm34", max_n=SWEEP_MAX))
+    _assert_all_pass(run_suite("thm34", max_n=8))
     for g in iter_connected_graphs(5, min_n=2):
         verdict = characterize_ct(g)
         assert MECHANISM_K[verdict.mechanism.value] == verdict.k
