@@ -106,7 +106,7 @@ def replay_contraction(g: Graph, kind: DominationKind, edges, before: int) -> in
 
 # The rows the plans of this module check against, measured in the whole
 # graph: adjacency, distance exactly two, and distance one or two.  A plan is
-# the (checks, reuse) pair that graphs.embed takes, in role order.
+# the (checks, reuse, above) triple that graphs.embed takes, in role order.
 _ADJ, _DIST2, _NEAR = range(3)
 
 
@@ -116,15 +116,18 @@ def _tables(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _realised(tables, plan, hosts, s) -> bool:
-    """Whether the hosts, all members of s, pass the plan's checks."""
+    """Whether the hosts, all members of s, pass the plan's checks.  The
+    plan's `above` constraints are dropped: the tuple is given, not sought."""
     members = set(s)
-    return embed(tables, *plan, tuple(1 << v if v in members else 0 for v in hosts)) is not None
+    checks, reuse, _ = plan
+    pins = tuple(1 << v if v in members else 0 for v in hosts)
+    return embed(tables, checks, reuse, ((),) * len(checks), pins) is not None
 
 
 # roles x, y, z: xy an edge, z within distance two of y
-_TRIPLE = ((), ((0, _ADJ, True),), ((1, _NEAR, True),)), ((), (), ())
+_TRIPLE = ((), ((0, _ADJ, True),), ((1, _NEAR, True),)), ((), (), ()), ((), (), ())
 # roles u, v: v within distance two of u
-_PAIR = ((), ((0, _NEAR, True),)), ((), ())
+_PAIR = ((), ((0, _NEAR, True),)), ((), ()), ((), ())
 
 
 def has_friendly_triple(g: Graph, d) -> tuple[int, int, int] | None:
@@ -216,12 +219,14 @@ class ConfigMatch:
 
 def _config_plan(spec: _ConfigSpec):
     """Solid lines check adjacency and dashed lines distance exactly two, at
-    the later role of each pair; allow_equal lets a role repeat the earlier."""
+    the later role of each pair; allow_equal lets a role repeat the earlier.
+    Roles are not interchangeable, so no symmetry is broken."""
     lines = [(i, j, _ADJ) for i, j in spec.edges] + [(i, j, _DIST2) for i, j in spec.dist2]
     roles = range(len(spec.roles))
     return (
         tuple(tuple((i, t, True) for i, j, t in lines if j == r) for r in roles),
         tuple(tuple(i for i, j in spec.allow_equal if j == r) for r in roles),
+        ((),) * len(spec.roles),
     )
 
 
@@ -239,7 +244,8 @@ def _config_match(cid: STConfigId, hit) -> ConfigMatch:
 
 
 # Every structure a scan looks for, by name: the friendly triple, the
-# configurations O1..O7, and the patterns sought as subgraphs.
+# configurations O1..O7, and the patterns sought as subgraphs, whose plans
+# try each copy once.
 _SUBGRAPHS = ("P2", "P3", "2P2", "P4", "claw", "2P3")
 _PLANS = {
     "friendly-triple": _TRIPLE,
@@ -247,7 +253,7 @@ _PLANS = {
     **{p: _pattern_plan(parse_pattern(p), False)[1:] for p in _SUBGRAPHS},
 }
 # distinct hosts a plan needs: one per role, less the roles that may repeat
-_NEEDS = {key: len(checks) - sum(map(bool, reuse)) for key, (checks, reuse) in _PLANS.items()}
+_NEEDS = {key: len(checks) - sum(map(bool, reuse)) for key, (checks, reuse, _) in _PLANS.items()}
 
 # For each kind, the structures for ct = 1, sought in minimum sets, and for
 # ct = 2, sought in sets one vertex larger, each in the order they are
@@ -265,8 +271,8 @@ def _first_embedding(tables, structures, mask: int):
     every host in mask, hosts in lex order; None if none does."""
     for key in structures:
         if _NEEDS[key] <= mask.bit_count():
-            checks, reuse = _PLANS[key]
-            hit = embed(tables, checks, reuse, (mask,) * len(checks))
+            plan = _PLANS[key]
+            hit = embed(tables, *plan, (mask,) * len(plan[0]))
             if hit is not None:
                 return key, hit
     return None

@@ -22,7 +22,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, isfinite
+from numbers import Real
 from time import monotonic
 
 from .errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
@@ -97,6 +98,22 @@ class _Found(Exception):
     pass
 
 
+def _checked_budget(budget) -> int:
+    """A per-call node budget must be a non-negative int: NaN would compare
+    false with every node count and switch the budget off."""
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise InvalidSetting(f"budget must be a non-negative integer, got {budget!r}")
+    return budget
+
+
+def _checked_deadline(deadline) -> float:
+    """A deadline must be a finite real on the monotonic clock: monotonic()
+    is never above NaN, so a NaN deadline would never fire."""
+    if isinstance(deadline, bool) or not isinstance(deadline, Real) or not isfinite(deadline):
+        raise InvalidSetting(f"deadline must be a finite number, got {deadline!r}")
+    return deadline
+
+
 class _Search:
     """Branch-and-bound over vertex bitmasks for one graph and kind.
 
@@ -125,8 +142,8 @@ class _Search:
         self.rank_bit = rank_bit
         self.covers = [None] * n  # per vertex: the ranks its ball covers
         self.near = [None] * n  # per vertex: its distance-2 ball, itself excluded
-        self.budget = search_budget() if budget is None else budget
-        self.deadline = deadline
+        self.budget = search_budget() if budget is None else _checked_budget(budget)
+        self.deadline = None if deadline is None else _checked_deadline(deadline)
         self.stop_at = stop_at
         self.nodes = 0
         self.all = (1 << n) - 1
@@ -244,7 +261,11 @@ def solve(
     budget: int | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
-    """Minimum (semi)total/plain dominating set via branch-and-bound."""
+    """Minimum (semi)total/plain dominating set via branch-and-bound.
+
+    `budget` caps the nodes (default search_budget()); `deadline` is a time
+    on the `time.monotonic` clock.  InvalidSetting for a budget that is not
+    a non-negative int or a deadline that is not a finite real."""
     _check_solvable(g, kind)
     search = _Search(g, kind, budget, deadline, stop_at=None)
     search.greedy()
@@ -260,11 +281,12 @@ def exists_within(
     budget: int | None = None,
     deadline: float | None = None,
 ) -> bool:
-    """Decision variant: is there a feasible set of size at most k?"""
+    """Decision variant: is there a feasible set of size at most k?  The
+    limits are those of `solve`, checked the same way."""
     _check_solvable(g, kind)
+    search = _Search(g, kind, budget, deadline, stop_at=k)
     if k <= 0:
         return False
-    search = _Search(g, kind, budget, deadline, stop_at=k)
     try:
         search.run(0, 0, 0, 0)
     except _Found:

@@ -270,18 +270,21 @@ def random_connected(n: int, p: float, seed: int) -> Graph:
 # -- the embedding engine ------------------------------------------------
 
 
-def embed(tables, checks, reuse, domains) -> tuple[int, ...] | None:
+def embed(tables, checks, reuse, above, domains) -> tuple[int, ...] | None:
     """First host tuple, one host per step, that passes every check.
 
     Step i draws its host from the bitmask `domains[i]`.  Each
     `(j, table, want)` in `checks[i]` asks that the host of step i lie
     (`want`) or not lie in the row `tables[table][host of step j]` of an
     earlier step j.  Hosts are distinct, except that step i may repeat the
-    host of each earlier step in `reuse[i]`.  All checks are folded into one
+    host of each earlier step in `reuse[i]`, and the host of step i must
+    exceed the host of each earlier step in `above[i]` (the symmetry-breaking
+    constraints of `_pattern_plan`).  All of these are folded into one
     candidate mask per step (bitset domain filtering, as in the Glasgow
     Subgraph Solver) and candidates are taken lowest id first, so the answer
     is the lexicographically first in step order.  With one candidate per
-    step, this verifies a given assignment.
+    step, this verifies a given assignment; verify mode carries no `above`
+    constraints, since it must accept any orientation of the given tuple.
     """
     last = len(checks)
     hosts = [0] * last
@@ -296,6 +299,8 @@ def embed(tables, checks, reuse, domains) -> tuple[int, ...] | None:
         for j, table, want in checks[i]:
             row = tables[table][hosts[j]]
             cand &= row if want else ~row
+        for j in above[i]:
+            cand &= -2 << hosts[j]  # only ids above the host of step j
         while cand:
             low = cand & -cand
             hosts[i] = low.bit_length() - 1
@@ -310,28 +315,77 @@ def embed(tables, checks, reuse, domains) -> tuple[int, ...] | None:
 # -- induced / subgraph pattern search -----------------------------------
 
 
+def _refined_classes(h: Graph) -> list[int]:
+    """Per vertex, the mask of its class under colour refinement: vertices
+    are split by degree, then by their neighbours' classes, until no class
+    splits.  Automorphisms map each class onto itself, so confining an
+    automorphism search to the classes stops it from trying every ordering
+    of a pattern's twins against a pin that no automorphism realises."""
+    colour = [0] * h.n
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[w] for w in _bits(h.rows[v])))) for v in range(h.n)]
+        names = {key: c for c, key in enumerate(sorted(set(sig)))}
+        if len(names) == len(set(colour)):
+            break
+        colour = [names[key] for key in sig]
+    return [sum(1 << w for w in range(h.n) if colour[w] == c) for c in colour]
+
+
 @lru_cache(maxsize=32)
 def _pattern_plan(h: Graph, induced: bool):
-    """Placement order, each prefix as connected as possible (most placed
-    neighbours, then highest degree, then smallest id), with each step's
-    checks on g's rows: one per placed vertex that h joins to it by an edge
-    or, when induced, by a non-edge."""
+    """(order, checks, reuse, above) for placing h with `embed`.
+
+    The placement order keeps each prefix as connected as possible (most
+    placed neighbours, then highest degree, then smallest id).  Each step's
+    checks run on g's rows: one per placed vertex that h joins to it by an
+    edge or, when induced, by a non-edge.  No step may reuse a host.
+
+    `above` breaks h's symmetry (Grochow and Kellis, RECOMB 2007): at step
+    i, every other vertex w in the orbit of the vertex placed there, under
+    the automorphisms of h that fix each earlier step's vertex, must get a
+    larger host than step i.  The orbits come from `embed` itself, placing
+    h in h with the earlier steps pinned, step i pinned to w and every
+    later step kept in its vertex's colour-refinement class.  Every copy of
+    h is then found once, not once per automorphism.  Precondition: every
+    step draws from the same domain.  Then the least tuple of each orbit
+    is the one kept, so the first match is the same as without `above`.
+    Verify mode (one candidate per step, checking a given tuple) carries no
+    `above`: it must accept every orientation of the tuple.
+    """
     order: list[int] = []
-    checks = []
     placed = 0
     for _ in range(h.n):
         p = max(
             (v for v in range(h.n) if not placed >> v & 1),
             key=lambda v: ((h.rows[v] & placed).bit_count(), h.rows[v].bit_count(), -v),
         )
-        checks.append(tuple(
-            (j, 0, edge)
-            for j, q in enumerate(order)
-            if (edge := bool(h.rows[p] >> q & 1)) or induced
-        ))
         order.append(p)
         placed |= 1 << p
-    return tuple(order), tuple(checks), ((),) * h.n
+
+    def step_checks(non_edges: bool):
+        return tuple(
+            tuple(
+                (j, 0, edge)
+                for j, q in enumerate(order[:i])
+                if (edge := bool(h.rows[p] >> q & 1)) or non_edges
+            )
+            for i, p in enumerate(order)
+        )
+
+    # an automorphism is an induced copy of h in h; step k's vertex is in
+    # step i's orbit when one maps order[i] to order[k] and fixes order[:i]
+    automorphic = step_checks(True)
+    none = ((),) * h.n
+    pins = [1 << v for v in order]
+    classes = [_refined_classes(h)[v] for v in order]
+    above: list[list[int]] = [[] for _ in order]
+    for i in range(h.n):
+        for k in range(i + 1, h.n):
+            doms = (*pins[:i], pins[k], *classes[i + 1:])
+            if classes[i] & pins[k] and embed((h.rows,), automorphic, none, none, doms) is not None:
+                above[k].append(i)
+    checks = automorphic if induced else step_checks(False)
+    return tuple(order), checks, none, tuple(map(tuple, above))
 
 
 def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
@@ -340,8 +394,8 @@ def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
     mask = g.full_mask() if within is None else vertex_mask(g, within)
     if h.n > mask.bit_count():
         return None
-    order, checks, reuse = _pattern_plan(h, induced)
-    hosts = embed((g.rows,), checks, reuse, (mask,) * h.n)
+    order, *plan = _pattern_plan(h, induced)
+    hosts = embed((g.rows,), *plan, (mask,) * h.n)
     return None if hosts is None else dict(sorted(zip(order, hosts)))
 
 
@@ -350,7 +404,9 @@ def contains_induced(g: Graph, h: Graph, within=None) -> dict[int, int] | None:
 
     `within` optionally restricts host vertices to a subset of V(g).  The
     pattern is placed in the order of `_pattern_plan`, so the copy returned
-    is the first that `embed` finds in that order.
+    is the first that `embed` finds in that order.  Every step draws from
+    the same domain, so the plan's symmetry-breaking constraints try each
+    copy of h once without changing which copy comes first.
     """
     return _match(g, h, True, within)
 

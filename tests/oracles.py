@@ -2,9 +2,9 @@
 
 Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
-bitmask solvers under test; `relabel` builds a Graph only to feed
-permuted inputs to the code under test, and `brute_canonical` returns one
-only so its answer compares with the labeller's.
+bitmask solvers under test; `relabel` and `complement` build a Graph
+only to feed inputs to the code under test, and `brute_canonical` returns
+one only so its answer compares with the labeller's.
 """
 
 from itertools import combinations, permutations
@@ -41,6 +41,23 @@ def bfs_distances(adj, src):
 def relabel(g, perm):
     """g with each vertex v renamed perm[v]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def complement(g):
+    """g with its edges and non-edges swapped."""
+    n, edges = edge_data(g)
+    present = set(edges)
+    return Graph.from_edges(n, [e for e in combinations(range(n), 2) if e not in present])
+
+
+def brute_automorphism_count(g):
+    """How many permutations of g's vertices map its edge set onto itself."""
+    n, edges = edge_data(g)
+    present = {frozenset(e) for e in edges}
+    return sum(
+        all(frozenset((perm[u], perm[v])) in present for u, v in edges)
+        for perm in permutations(range(n))
+    )
 
 
 def brute_canonical(g):

@@ -7,6 +7,7 @@ reported as skipped when the search runs out of time, which the criterion
 accepts; SEMITOTAL_AC7_SECONDS shortens the attempt for development runs.
 """
 
+import math
 import os
 import random
 from time import monotonic
@@ -39,7 +40,19 @@ from test_reductions import paw_lower_bound_holds
 
 SDS = DominationKind.SEMITOTAL
 
-AC7_SECONDS = float(os.environ.get("SEMITOTAL_AC7_SECONDS", "600"))
+
+def _ac7_seconds() -> float:
+    """SEMITOTAL_AC7_SECONDS, or 600.  Read inside ac07 so a bad value fails
+    that test alone; a NaN deadline would never fire."""
+    raw = os.environ.get("SEMITOTAL_AC7_SECONDS", "600")
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        pytest.fail(f"SEMITOTAL_AC7_SECONDS must be a finite positive number, got {raw!r}")
+    return seconds
+
 
 # mechanism token -> contraction count it certifies
 MECHANISM_K = {
@@ -103,6 +116,7 @@ def test_ac06_sat_identity_and_independence_equivalence():
 
 
 def test_ac07_clawfree_construction_and_identity_attempt():
+    seconds = _ac7_seconds()
     bounded = SatInstance(3, ((0, 1, 2),) * 3)
     wide = SatInstance(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
     claw = parse_pattern("claw")
@@ -124,11 +138,11 @@ def test_ac07_clawfree_construction_and_identity_attempt():
     try:
         smaller = exists_within(
             host.graph, SDS, target - 1,
-            budget=10**12, deadline=monotonic() + AC7_SECONDS,
+            budget=10**12, deadline=monotonic() + seconds,
         )
     except ScaleLimit:
         pytest.skip(
-            f"identity attempt used up the {AC7_SECONDS:.0f}s deadline; "
+            f"identity attempt used up the {seconds:.0f}s deadline; "
             f"the size-{target} witness stands, the lower bound is open"
         )
     # the witness gives <= target, so refuting target-1 settles equality

@@ -260,6 +260,21 @@ def test_search_answers_frozen():
     assert digest.hexdigest() == SEARCH_DIGEST
 
 
+@pytest.mark.parametrize("limits", [
+    {"deadline": math.nan}, {"deadline": math.inf}, {"deadline": "1"}, {"deadline": True},
+    {"budget": math.nan}, {"budget": 2.5}, {"budget": -1}, {"budget": True},
+])
+def test_invalid_search_limits_are_rejected(limits):
+    # unchecked, a NaN deadline or budget never fired and 2.5 passed as a budget
+    g = random_connected(40, 1.5 * math.log(40) / 40, 7)
+    for kind in KINDS:
+        with pytest.raises(InvalidSetting):
+            solve(g, kind, **limits)
+        for k in (0, 5):
+            with pytest.raises(InvalidSetting):
+                exists_within(g, kind, k, **limits)
+
+
 def test_past_deadline_stops_both_searches():
     # the clock is read at the first node, so even a short search stops
     past = monotonic() - 1

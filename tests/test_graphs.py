@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -30,7 +32,7 @@ from semitotal import (
     to_graph6,
 )
 from semitotal.errors import GenerationFailed, InvalidEdge, ParseError
-from semitotal.graphs import distance, normalize_edge
+from semitotal.graphs import _pattern_plan, distance, embed, normalize_edge
 
 import oracles
 from conftest import connected_graphs_st
@@ -291,6 +293,58 @@ def test_first_matches_frozen():
                     sorted((contains_subgraph(g, h) or {}).items()),
                 ]).encode())
     assert digest.hexdigest() == MATCHER_DIGEST
+
+
+def _every_graph(max_n):
+    # a graph or its complement is connected, so this is every graph
+    for g in iter_connected_graphs(max_n):
+        yield g
+        yield oracles.complement(g)
+
+
+def _unbroken_match(g, h, induced, within):
+    """The plan's first match with its symmetry-breaking constraints left
+    out: every ordered placement of h is tried."""
+    order, checks, reuse, _ = _pattern_plan(h, induced)
+    mask = g.full_mask() if within is None else sum(1 << v for v in within)
+    hosts = embed((g.rows,), checks, reuse, ((),) * h.n, (mask,) * h.n)
+    return None if hosts is None else dict(sorted(zip(order, hosts)))
+
+
+def test_broken_plans_find_the_unbroken_first_match():
+    patterns = [*_every_graph(5), *map(parse_pattern, ("2P3", "P4+P2", "P6"))]
+    rng = random.Random(11)
+    for _ in range(48):
+        n = rng.randint(6, 16)
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        within = sorted(rng.sample(range(n), rng.randint(4, n)))
+        for h in patterns:
+            for find, induced in ((contains_induced, True), (contains_subgraph, False)):
+                for w in (None, within):
+                    assert find(g, h, within=w) == _unbroken_match(g, h, induced, w), (
+                        to_graph6(g), to_graph6(h), induced, w)
+
+
+def test_plan_orbits_are_the_automorphism_group():
+    # orbit-stabiliser: |Aut(h)| is the product of the orbit sizes along the
+    # placement order, and each orbit is one step plus the later steps it bounds
+    for h in _every_graph(6):
+        for induced in (True, False):
+            _, _, _, above = _pattern_plan(h, induced)
+            product = math.prod(1 + sum(i in later for later in above) for i in range(h.n))
+            assert product == oracles.brute_automorphism_count(h), (to_graph6(h), induced)
+
+
+def test_dense_pattern_plans_build_quickly():
+    # each has a block of twins placed first; searched without the
+    # refinement classes, their orbits took 3 s to 42 s apiece
+    started = time.monotonic()
+    for seed in (253, 265, 270, 275, 277):
+        h = random_connected(12, 0.1 + 0.003 * seed, seed)
+        for induced in (True, False):
+            _pattern_plan.__wrapped__(h, induced)
+    assert time.monotonic() - started < 5
 
 
 def test_chordal_hand_cases():

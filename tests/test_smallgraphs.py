@@ -10,7 +10,7 @@ from semitotal.graphs import complete_graph, is_connected, path_graph, star_grap
 from semitotal.smallgraphs import CONNECTED_COUNTS, canonical_form
 
 from conftest import connected_graphs_st
-from oracles import brute_canonical, relabel
+from oracles import brute_canonical, complement, relabel
 
 # sha256 over the graph6 codes of connected_graphs(1..8) in order, each
 # followed by a newline.  Computed with the enumeration that deduplicated
@@ -69,10 +69,6 @@ def test_iter_range_bounds():
     assert all(3 <= g.n <= 4 for g in got)
 
 
-def _complement(g):
-    return Graph(g.n, tuple(g.full_mask() & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
-
-
 def _shuffled(g, rng):
     return relabel(g, rng.sample(range(g.n), g.n))
 
@@ -81,7 +77,7 @@ def test_canonical_form_matches_brute_force_up_to_order_6():
     # a graph or its complement is connected, so this is every graph
     rng = random.Random(6)
     for g in iter_connected_graphs(6):
-        for h in (g, _complement(g)):
+        for h in (g, complement(g)):
             h = _shuffled(h, rng)
             assert canonical_form(h) == brute_canonical(h)
 
@@ -94,7 +90,7 @@ def test_canonical_form_matches_brute_force_on_twins():
             complete_graph(n),
             Graph(n, (0,) * n),
             star_graph(n),
-            _complement(path_graph(n)),
+            complement(path_graph(n)),
             *(Graph.from_edges(n, [(i, j) for i in range(a) for j in range(a, n)])
               for a in range(1, n // 2 + 1)),
         ]
