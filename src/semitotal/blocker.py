@@ -68,8 +68,9 @@ def ct_exact(
     """Smallest k <= kmax whose k edge contractions lower the parameter.
 
     Scans edge subsets by size then lexicographic order, so the returned
-    certificate is reproducible.  None when no k <= kmax works; ScaleLimit
-    after search_budget() contractions.
+    certificate is reproducible.  A contracted graph already decided in
+    this scan, down to its labels, is not decided again.  None when no
+    k <= kmax works; ScaleLimit after search_budget() contractions.
     """
     if not is_connected(g):
         raise Infeasible("ct_exact requires a connected graph")
@@ -79,6 +80,7 @@ def ct_exact(
     cap = search_budget()
     edges = sorted(g.edges())
     visited = 0
+    decided = set()  # the rows of every contracted graph decided so far
     for k in range(1, kmax + 1):
         for combo in combinations(edges, k):
             visited += 1
@@ -87,6 +89,9 @@ def ct_exact(
             contracted, vmap = contract_edges(g, combo)
             if contracted.n < 2 and kind is not DominationKind.DOMINATION:
                 continue
+            if contracted.rows in decided:
+                continue
+            decided.add(contracted.rows)
             if exists_within(contracted, kind, base - 1):
                 after = solve(contracted, kind).value
                 return k, ContractionCertificate(combo, base, after, vmap)

@@ -184,6 +184,7 @@ def _cmd_solve(args) -> tuple[dict, dict, int]:
         "kind": kind.value,
         "value": result.value,
         "witness": sorted(result.witness),
+        "nodes": result.nodes,
     }
     if args.all:
         results["all"] = [sorted(d) for d in enumerate_min_sets(g, kind)]

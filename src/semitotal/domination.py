@@ -7,7 +7,13 @@ minimises (`solve`) and decides whether a set of at most k vertices exists
 relabelled by (cover-ball size, id), so the bound reads only the uncovered
 vertices, lowest bit first, and stops as soon as it prunes.  Branches take
 candidates in ascending original id, and each candidate's rank-space cover
-and each distance-2 ball are built on first use.  The one lexicographic
+and each distance-2 ball are built on first use.  A node with room for one
+more member below the best size takes its last member from the
+intersection of its uncovered vertices' candidate sets, without a call per
+child, and a child with no room is not visited: the records, and so the
+witness, are those of the full walk.  Nodes are counted per visit and per
+last-member step; the budget is checked at every count and the deadline
+read at the first and then every 256th.  The one lexicographic
 sweep, `feasible_sets`, lists the feasible sets of one size in
 `combinations` order, for callers that need every set or the first one
 carrying some structure.  It shares only the ball helpers `_balls` and
@@ -20,7 +26,7 @@ SEMITOTAL_BUDGET caps the nodes of every search and, through
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, isfinite
 from numbers import Real
@@ -50,9 +56,14 @@ class DominationKind(Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A minimum set and its size.  `nodes` is the search's node count,
+    deterministic for a given graph and kind; None from the subset sweep
+    `solve_by_enumeration`.  Results compare without it."""
+
     kind: DominationKind
     value: int
     witness: frozenset[int]
+    nodes: int | None = field(default=None, compare=False)
 
 
 def _balls(g: Graph, kind: DominationKind) -> tuple[int, ...]:
@@ -126,7 +137,19 @@ class _Search:
     member of smallest id, so the walk and the witness do not depend on the
     ranks.  A candidate's rank-space cover and a vertex's distance-2 ball
     are built on first use: most searches visit a few nodes, so set-up is
-    what they pay for."""
+    what they pay for.
+
+    A node whose cover is not full is searched only while it has room for
+    two or more members below the best size.  With room for one,
+    `best - size == 2`, its only completions add one free candidate of
+    every uncovered vertex, so `_last` takes them from the intersection of
+    those candidate sets, in ascending id, and records the first that
+    passes the leaf check: the sets its children would record, in their
+    order.  With no room, the child is not visited at all.  `nodes` counts
+    the calls of `run` and the children handed to `_last`, not the skipped
+    ones.  At every count the budget is checked, and the deadline clock is
+    read at the first count and then at each multiple of 256, both through
+    one threshold, `check_at`."""
 
     def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
         n = g.n
@@ -136,7 +159,7 @@ class _Search:
         for r, v in enumerate(order):
             rank_bit[v] = 1 << r
         self.rows = g.rows
-        self.kind = kind
+        self.semitotal = kind is DominationKind.SEMITOTAL
         self.ball = ball
         self.ball_by_rank = [ball[v] for v in order]
         self.rank_bit = rank_bit
@@ -146,6 +169,7 @@ class _Search:
         self.deadline = None if deadline is None else _checked_deadline(deadline)
         self.stop_at = stop_at
         self.nodes = 0
+        self.check_at = 1  # the count at which `_check` next runs
         self.all = (1 << n) - 1
         self.best = n + 1 if stop_at is None else stop_at + 1
         self.best_mask = 0
@@ -165,6 +189,27 @@ class _Search:
         self.near[v] = m = _near(self.rows, v)
         return m
 
+    def _lonely(self, dmask: int) -> int:
+        """The distance-2 ball of the smallest member of dmask with no other
+        member within distance two, or 0 when every member has one."""
+        for v in _bits(dmask):
+            near = self.near[v] or self._near(v)
+            if not near & dmask:
+                return near
+        return 0
+
+    def _check(self):
+        """ScaleLimit past the budget or the deadline; then the next count
+        to check at: past the budget, or the next multiple of 256."""
+        if self.nodes > self.budget:
+            raise ScaleLimit(f"search exceeded {self.budget} nodes")
+        if self.deadline is None:
+            self.check_at = self.budget + 1
+            return
+        if monotonic() > self.deadline:
+            raise ScaleLimit("search deadline exceeded")
+        self.check_at = min(self.budget + 1, (self.nodes | 255) + 1)
+
     def greedy(self):
         """Seed the bound: repeatedly take the vertex covering most, ties
         to the smallest id, then give each lonely semitotal pick the
@@ -177,7 +222,7 @@ class _Search:
             v = gains.index(max(gains))
             dmask |= 1 << v
             cover |= ball[v]
-        if self.kind is DominationKind.SEMITOTAL:
+        if self.semitotal:
             for v in list(_bits(dmask)):
                 near = self.near[v] or self._near(v)
                 if not near & dmask:
@@ -188,15 +233,15 @@ class _Search:
 
     def run(self, dmask: int, cover: int, banned: int, size: int):
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise ScaleLimit(f"search exceeded {self.budget} nodes")
-        # the clock is read at the first node and then every 256th
-        if self.deadline is not None and self.nodes & 255 == 1 and monotonic() > self.deadline:
-            raise ScaleLimit("search deadline exceeded")
-        uncovered = self.all & ~cover
+        if self.nodes >= self.check_at:
+            self._check()
+        full = self.all
+        uncovered = full & ~cover
         if uncovered:
             limit = self.best - size
-            if limit <= 1:
+            if limit <= 2:
+                if limit == 2:  # only the root gets here: children go to _last directly
+                    self._last(dmask, uncovered, banned, size)
                 return
             # greedy packing: uncovered vertices whose candidate sets are
             # pairwise disjoint each need their own member
@@ -216,12 +261,9 @@ class _Search:
                     used |= b
                 rest ^= low
             cands = ball_by_rank[(uncovered & -uncovered).bit_length() - 1] & free
-        elif self.kind is DominationKind.SEMITOTAL:
-            for v in _bits(dmask):
-                near = self.near[v] or self._near(v)
-                if not near & dmask:
-                    break
-            else:
+        elif self.semitotal:
+            near = self._lonely(dmask)
+            if not near:
                 self._record(dmask, size)
                 return
             if size + 1 >= self.best:
@@ -235,9 +277,38 @@ class _Search:
         while cands:
             low = cands & -cands
             c = low.bit_length() - 1
-            self.run(dmask | low, cover | (covers[c] or self._covers(c)), banned, size)
+            child = cover | (covers[c] or self._covers(c))
+            room = self.best - size
+            if child == full or room > 2:
+                self.run(dmask | low, child, banned, size)
+            elif room == 2:
+                self.nodes += 1
+                if self.nodes >= self.check_at:
+                    self._check()
+                self._last(dmask | low, full & ~child, banned, size)
             banned |= low
             cands ^= low
+
+    def _last(self, dmask: int, uncovered: int, banned: int, size: int):
+        """The node (dmask, size) with room for one more member: record the
+        first completion by a free candidate common to every uncovered
+        vertex, in ascending id, that passes the leaf check.  Its packing
+        bound prunes only when there is none, and a record makes `best`
+        the size of every later completion, so none of them records."""
+        ball_by_rank = self.ball_by_rank
+        common = ~banned
+        while uncovered:
+            low = uncovered & -uncovered
+            common &= ball_by_rank[low.bit_length() - 1]
+            if not common:
+                return
+            uncovered ^= low
+        while common:
+            low = common & -common
+            if not self.semitotal or not self._lonely(dmask | low):
+                self._record(dmask | low, size + 1)
+                return
+            common ^= low
 
     def _record(self, dmask: int, size: int):
         if size < self.best:
@@ -270,7 +341,7 @@ def solve(
     search = _Search(g, kind, budget, deadline, stop_at=None)
     search.greedy()
     search.run(0, 0, 0, 0)
-    return SolveResult(kind, search.best, frozenset(_bits(search.best_mask)))
+    return SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
 
 
 def exists_within(

@@ -8,6 +8,7 @@ All operations return fresh Graph values; nothing here mutates.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
@@ -470,13 +471,19 @@ def to_graph6(g: Graph) -> str:
     return head + "".join(chars)
 
 
+# each graph6 byte as its six bits, high bit first
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+# any character outside the graph6 bytes ? (63) .. ~ (126)
+_G6_BAD = re.compile("[^?-~]")
+
+
 def from_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
         raise ParseError("empty graph6 string", offset=0)
-    for i, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"invalid graph6 byte {ch!r}", offset=i)
+    bad = _G6_BAD.search(s)
+    if bad:
+        raise ParseError(f"invalid graph6 byte {bad.group()!r}", offset=bad.start())
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise ParseError("graph6 order above 258047 not supported", offset=0)
@@ -498,20 +505,22 @@ def from_graph6(text: str) -> Graph:
             f"graph6 body for n={n} needs {need} chars, got {len(body)}",
             offset=body_off + min(len(body), need),
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend(val >> s6 & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero graph6 padding bits", offset=len(s) - 1)
+    # the body as one int, its first bit lowest: column j (the pairs ij,
+    # i < j) is the j-bit slice that starts at bit j(j-1)/2
+    adj = int(bits[nbits - 1::-1], 2) if nbits else 0
     rows = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
+        col = adj & ((1 << j) - 1)
+        adj >>= j
+        rows[j] |= col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(rows))
 
 

@@ -4,12 +4,19 @@ Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
 bitmask solvers under test; `relabel` and `complement` build a Graph
 only to feed inputs to the code under test, and `brute_canonical` returns
-one only so its answer compares with the labeller's.
+one only so its answer compares with the labeller's.  The one exception
+is `ParentSearch`, the branch-and-bound walk as it was before the
+last-member step: it reuses the search's set-up and replaces only `run`,
+so that the test can hold the new walk to the old one, record by record.
 """
 
 from itertools import combinations, permutations
+from time import monotonic
 
 from semitotal import Graph
+from semitotal.domination import _Found, _Search
+from semitotal.errors import ScaleLimit
+from semitotal.graphs import _bits
 
 
 def edge_data(g):
@@ -219,3 +226,81 @@ def g6_decode(text):
                 edges.append((u, v))
             i += 1
     return n, edges
+
+
+class ParentSearch(_Search):
+    """The walk before the last-member step: every child is a call, and
+    every node runs the packing bound, whatever room it has left."""
+
+    def run(self, dmask, cover, banned, size):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise ScaleLimit(f"search exceeded {self.budget} nodes")
+        # the clock is read at the first node and then every 256th
+        if self.deadline is not None and self.nodes & 255 == 1 and monotonic() > self.deadline:
+            raise ScaleLimit("search deadline exceeded")
+        uncovered = self.all & ~cover
+        if uncovered:
+            limit = self.best - size
+            if limit <= 1:
+                return
+            # greedy packing: uncovered vertices whose candidate sets are
+            # pairwise disjoint each need their own member
+            ball_by_rank = self.ball_by_rank
+            free = ~banned
+            used = cnt = 0
+            rest = uncovered
+            while rest:
+                low = rest & -rest
+                b = ball_by_rank[low.bit_length() - 1] & free
+                if not b:
+                    return  # some vertex can no longer be dominated
+                if not b & used:
+                    cnt += 1
+                    if cnt >= limit:
+                        return
+                    used |= b
+                rest ^= low
+            cands = ball_by_rank[(uncovered & -uncovered).bit_length() - 1] & free
+        elif self.semitotal:
+            for v in _bits(dmask):
+                near = self.near[v] or self._near(v)
+                if not near & dmask:
+                    break
+            else:
+                self._record(dmask, size)
+                return
+            if size + 1 >= self.best:
+                return
+            cands = near & ~dmask & ~banned
+        else:
+            self._record(dmask, size)
+            return
+        covers = self.covers
+        size += 1
+        while cands:
+            low = cands & -cands
+            c = low.bit_length() - 1
+            self.run(dmask | low, cover | (covers[c] or self._covers(c)), banned, size)
+            banned |= low
+            cands ^= low
+
+
+def parent_solve(g, kind):
+    """(value, witness) from `ParentSearch`, seeded as `solve` seeds it."""
+    search = ParentSearch(g, kind, None, None, stop_at=None)
+    search.greedy()
+    search.run(0, 0, 0, 0)
+    return search.best, frozenset(_bits(search.best_mask))
+
+
+def parent_exists_within(g, kind, k):
+    """`exists_within` on `ParentSearch`."""
+    if k <= 0:
+        return False
+    search = ParentSearch(g, kind, None, None, stop_at=k)
+    try:
+        search.run(0, 0, 0, 0)
+    except _Found:
+        return True
+    return search.best <= k

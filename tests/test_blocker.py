@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 
+from semitotal import blocker
 from semitotal import (
     CtMechanism,
     DominationKind,
@@ -96,6 +97,36 @@ def test_ct_exact_matches_oracle_order6_semitotal():
         res = ct_exact(g, SDS, 3)
         got = None if res is None else res[0]
         assert got == oracles.brute_ct(*oracles.edge_data(g), "semitotal", 3)
+
+
+def test_ct_exact_decides_each_contracted_graph_once(monkeypatch):
+    # every distinct contraction the scan reaches is decided, and once
+    decided, contracted = [], []
+    real_exists, real_contract = blocker.exists_within, blocker.contract_edges
+
+    def exists_spy(h, kind, k):
+        decided.append(h.rows)
+        return real_exists(h, kind, k)
+
+    def contract_spy(g, edges):
+        h, vmap = real_contract(g, edges)
+        contracted.append(h.rows)
+        return h, vmap
+
+    monkeypatch.setattr(blocker, "exists_within", exists_spy)
+    monkeypatch.setattr(blocker, "contract_edges", contract_spy)
+    repeats = 0
+    for g in connected_graphs(6):
+        for kind in (DOM, TOT, SDS):
+            decided.clear()
+            contracted.clear()
+            ct_exact(g, kind, 3)
+            # a total or semitotal scan passes over contractions to one vertex
+            reached = [rows for rows in contracted if len(rows) >= 2 or kind is DOM]
+            assert len(decided) == len(set(decided))
+            assert set(decided) == set(reached)
+            repeats += len(reached) - len(decided)
+    assert repeats > 0
 
 
 def test_ct_exact_kmax_zero():

@@ -26,6 +26,7 @@ from semitotal import (
     star_graph,
     witnesses_of,
 )
+from semitotal import domination
 from semitotal.domination import DEFAULT_BUDGET, search_budget
 from semitotal.errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
 from semitotal.graphs import Graph, random_connected, to_graph6
@@ -284,3 +285,61 @@ def test_past_deadline_stops_both_searches():
                 solve(g, kind, deadline=past)
             with pytest.raises(ScaleLimit):
                 exists_within(g, kind, solve(g, kind).value - 1, deadline=past)
+
+
+# An order-40 graph on which every kind's `solve`, and its refutation of
+# value - 1, count more than 256 nodes.
+DEEP = random_connected(40, 0.15, 4)
+
+
+def test_solve_reports_its_node_count():
+    for kind in KINDS:
+        first, again = solve(DEEP, kind), solve(DEEP, kind)
+        assert first.nodes == again.nodes > 256
+        assert solve(DEEP, kind, budget=first.nodes) == first
+        with pytest.raises(ScaleLimit):
+            solve(DEEP, kind, budget=first.nodes - 1)
+    assert solve_by_enumeration(cycle_graph(6), SDS).nodes is None
+    assert solve_by_enumeration(cycle_graph(6), SDS) == solve(cycle_graph(6), SDS)
+
+
+def test_walk_matches_the_parent_search():
+    # the last-member step and the skipped children record what the calls
+    # they replace recorded, in the same order, so every answer and
+    # witness is the full walk's
+    for i in range(300):
+        g = random_connected(8 + i % 23, (0.15, 0.3, 0.5)[i % 3], 3000 + i)
+        for kind in KINDS:
+            res = solve(g, kind)
+            assert (res.value, res.witness) == oracles.parent_solve(g, kind), (to_graph6(g), kind)
+            for j in range(res.value - 2, res.value + 1):
+                assert exists_within(g, kind, j) == oracles.parent_exists_within(g, kind, j)
+
+
+def test_deadline_read_at_every_256th_count(monkeypatch):
+    # nodes are also counted outside `run`, for the children handed to the
+    # last-member step, so the clock is read by count, not at entry
+    reads = []
+    monkeypatch.setattr(domination, "monotonic", lambda: reads.append(None) or 0.0)
+    for kind in KINDS:
+        reads.clear()
+        res = solve(DEEP, kind, deadline=1.0)
+        assert len(reads) == 1 + res.nodes // 256
+    # a clock behind the deadline at its first read only: the second read
+    # comes at the 256th count and stops the search
+    monkeypatch.setattr(domination, "monotonic", lambda: reads.append(None) or len(reads) - 1.0)
+    for kind in KINDS:
+        value = solve(DEEP, kind).value
+        for search in (lambda: solve(DEEP, kind, deadline=0.5),
+                       lambda: exists_within(DEEP, kind, value - 1, deadline=0.5)):
+            reads.clear()
+            with pytest.raises(ScaleLimit):
+                search()
+            assert len(reads) == 2
+    monkeypatch.undo()
+    past = monotonic() - 1
+    for kind in KINDS:
+        with pytest.raises(ScaleLimit):
+            solve(DEEP, kind, deadline=past)
+        with pytest.raises(ScaleLimit):
+            exists_within(DEEP, kind, solve(DEEP, kind).value - 1, deadline=past)

@@ -192,6 +192,26 @@ def test_graph6_long_form():
     assert code.startswith("~") and from_graph6(code) == g
 
 
+def test_graph6_round_trip_every_order_to_70():
+    # orders 0..62 take the one-byte header, 63 and up the "~" block; each
+    # order gets an empty, a complete and a random graph of random density
+    rng = random.Random(6)
+    for n in range(71):
+        pairs = list(combinations(range(n), 2))
+        density = rng.random()
+        for edges in ([], pairs, [e for e in pairs if rng.random() < density]):
+            g = Graph.from_edges(n, edges)
+            code = to_graph6(g)
+            assert from_graph6(code) == g
+            if n < 63:
+                n_read, read = oracles.g6_decode(code)
+                assert n_read == n and sorted(read) == edges
+    for seed in range(60):
+        n = rng.randrange(2, 71)
+        g = random_connected(n, rng.uniform(2 / n, 1), seed)
+        assert from_graph6(to_graph6(g)) == g
+
+
 def test_edge_list_round_trip():
     g = cycle_graph(5)
     text = "\n".join([f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]) + "\n"
