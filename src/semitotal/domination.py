@@ -4,11 +4,14 @@ Every value and every decision comes from one engine, the branch-and-bound
 `_Search` over vertex bitmasks with a greedy packing lower bound: it
 minimises (`solve`) and decides whether a set of at most k vertices exists
 (`exists_within`).  It keeps its cover in rank space, the vertices
-relabelled by (cover-ball size, id), so the bound reads only the uncovered
-vertices, lowest bit first, and stops as soon as it prunes.  Branches take
-candidates in ascending original id, and each candidate's rank-space cover
-and each distance-2 ball are built on first use.  A node with room for one
-more member below the best size takes its last member from the
+relabelled by (cover-ball size, id).  The packing takes the lowest
+uncovered vertex and drops every vertex whose ball meets its ball, one step
+per packed vertex, and stops as soon as it prunes; when it ends one short,
+a gain count prunes the node if the packed candidate sets' best covers add
+up to fewer than the uncovered vertices.  Branches take candidates in
+ascending original id, and each candidate's rank-space cover, each reach
+mask and each distance-2 ball are built on first use.  A node with room
+for one more member below the best size takes its last member from the
 intersection of its uncovered vertices' candidate sets, without a call per
 child, and a child with no room is not visited: the records, and so the
 witness, are those of the full walk.  Nodes are counted per visit and per
@@ -135,9 +138,19 @@ class _Search:
     candidates and the balls stay in original ids: branches take their
     candidates in ascending id, and the semitotal repair fixes the lonely
     member of smallest id, so the walk and the witness do not depend on the
-    ranks.  A candidate's rank-space cover and a vertex's distance-2 ball
-    are built on first use: most searches visit a few nodes, so set-up is
-    what they pay for.
+    ranks.  A candidate's rank-space cover, a rank's reach mask and a
+    vertex's distance-2 ball are built on first use: most searches visit a
+    few nodes, so set-up is what they pay for.
+
+    The packing bound packs the lowest uncovered rank r, then clears its
+    reach mask, the ranks whose balls meet ball(v_r), from the rest: the
+    packed vertices have disjoint balls, so each needs its own member, and
+    the node prunes once they fill its room or one has no free candidate.
+    A packing one short of that leaves room for exactly one member from
+    each packed candidate set, so the node also prunes when those sets'
+    largest covers of the uncovered vertices add up to fewer than there
+    are.  Both prune only nodes that cannot record below `best`, so the
+    records are those of a walk without them.
 
     A node whose cover is not full is searched only while it has room for
     two or more members below the best size.  With room for one,
@@ -154,7 +167,8 @@ class _Search:
     def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
         n = g.n
         ball = _balls(g, kind)
-        order = sorted(range(n), key=lambda v: (ball[v].bit_count(), v))
+        # a stable sort keeps equal-size balls in id order
+        order = sorted(range(n), key=[b.bit_count() for b in ball].__getitem__)
         rank_bit = [0] * n
         for r, v in enumerate(order):
             rank_bit[v] = 1 << r
@@ -165,6 +179,7 @@ class _Search:
         self.rank_bit = rank_bit
         self.covers = [None] * n  # per vertex: the ranks its ball covers
         self.near = [None] * n  # per vertex: its distance-2 ball, itself excluded
+        self.reach = [None] * n  # per rank: the ranks whose balls meet its ball
         self.budget = search_budget() if budget is None else _checked_budget(budget)
         self.deadline = None if deadline is None else _checked_deadline(deadline)
         self.stop_at = stop_at
@@ -183,6 +198,14 @@ class _Search:
             out |= rank_bit[low.bit_length() - 1]
             mask ^= low
         self.covers[c] = out
+        return out
+
+    def _reach(self, r: int) -> int:
+        covers = self.covers
+        out = 1 << r
+        for c in _bits(self.ball_by_rank[r]):
+            out |= covers[c] or self._covers(c)
+        self.reach[r] = out
         return out
 
     def _near(self, v: int) -> int:
@@ -243,24 +266,43 @@ class _Search:
                 if limit == 2:  # only the root gets here: children go to _last directly
                     self._last(dmask, uncovered, banned, size)
                 return
-            # greedy packing: uncovered vertices whose candidate sets are
-            # pairwise disjoint each need their own member
+            # packing: pack the lowest uncovered rank left, then drop every
+            # rank whose ball meets its ball
             ball_by_rank = self.ball_by_rank
+            reach = self.reach
             free = ~banned
-            used = cnt = 0
+            packed = []
             rest = uncovered
             while rest:
-                low = rest & -rest
-                b = ball_by_rank[low.bit_length() - 1] & free
+                r = (rest & -rest).bit_length() - 1
+                b = ball_by_rank[r] & free
                 if not b:
                     return  # some vertex can no longer be dominated
-                if not b & used:
-                    cnt += 1
-                    if cnt >= limit:
-                        return
-                    used |= b
-                rest ^= low
-            cands = ball_by_rank[(uncovered & -uncovered).bit_length() - 1] & free
+                packed.append(b)
+                if len(packed) >= limit:
+                    return
+                rest &= ~(reach[r] or self._reach(r))
+            if len(packed) == limit - 1:
+                # one short: a completion below `best` takes one member from
+                # each packed candidate set, and they must cover every
+                # uncovered vertex
+                covers = self.covers
+                left = uncovered.bit_count()
+                for b in packed:
+                    gain = 0
+                    while b:
+                        low = b & -b
+                        c = low.bit_length() - 1
+                        g = ((covers[c] or self._covers(c)) & uncovered).bit_count()
+                        if g > gain:
+                            gain = g
+                        b ^= low
+                    left -= gain
+                    if left <= 0:
+                        break
+                else:
+                    return
+            cands = packed[0]
         elif self.semitotal:
             near = self._lonely(dmask)
             if not near:

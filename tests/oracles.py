@@ -6,8 +6,9 @@ bitmask solvers under test; `relabel` and `complement` build a Graph
 only to feed inputs to the code under test, and `brute_canonical` returns
 one only so its answer compares with the labeller's.  The one exception
 is `ParentSearch`, the branch-and-bound walk as it was before the
-last-member step: it reuses the search's set-up and replaces only `run`,
-so that the test can hold the new walk to the old one, record by record.
+last-member step and the reach packing: it reuses the search's set-up and
+replaces only `run`, so that the tests can hold the new walk and bounds to
+the old ones, record by record.
 """
 
 from itertools import combinations, permutations
@@ -230,7 +231,10 @@ def g6_decode(text):
 
 class ParentSearch(_Search):
     """The walk before the last-member step: every child is a call, and
-    every node runs the packing bound, whatever room it has left."""
+    every node runs the packing bound, whatever room it has left.  It keeps
+    the free-aware packing walk, the reference the later bounds are held
+    to: every uncovered vertex in rank order, packed when its free
+    candidates miss those of the vertices packed before it."""
 
     def run(self, dmask, cover, banned, size):
         self.nodes += 1

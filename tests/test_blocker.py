@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from semitotal import blocker
 from semitotal import (
     CtMechanism,
     DominationKind,
+    Graph,
     STConfigId,
     characterize_ct,
     classify_ct_domination,
@@ -97,6 +100,35 @@ def test_ct_exact_matches_oracle_order6_semitotal():
         res = ct_exact(g, SDS, 3)
         got = None if res is None else res[0]
         assert got == oracles.brute_ct(*oracles.edge_data(g), "semitotal", 3)
+
+
+def _parent_ct(g, kind, kmax=3):
+    """ct_exact's scan, edge subsets by size then lexicographic order, with
+    each contraction decided by the parent search and valued by it."""
+    base = oracles.parent_solve(g, kind)[0]
+    if base <= (1 if kind is DOM else 2):
+        return None
+    n, edges = oracles.edge_data(g)
+    for k in range(1, kmax + 1):
+        for combo in combinations(sorted(edges), k):
+            h = Graph.from_edges(*oracles.contract(n, edges, combo))
+            if h.n < 2 and kind is not DOM:
+                continue
+            if oracles.parent_exists_within(h, kind, base - 1):
+                return k, combo, oracles.parent_solve(h, kind)[0]
+    return None
+
+
+def test_ct_exact_matches_the_parent_search_at_order_36_to_42():
+    # the graphs of the request traffic, where the scan's refutations run
+    # the search's bounds deep
+    for i in range(24):
+        n = 36 + i % 7
+        g = random_connected(n, 1.5 * math.log(n) / n, 5000 + i)
+        for kind in (DOM, TOT, SDS):
+            res = ct_exact(g, kind)
+            got = None if res is None else (res[0], res[1].edges, res[1].value_after)
+            assert got == _parent_ct(g, kind), (to_graph6(g), kind)
 
 
 def test_ct_exact_decides_each_contracted_graph_once(monkeypatch):

@@ -287,9 +287,19 @@ def test_past_deadline_stops_both_searches():
                 exists_within(g, kind, solve(g, kind).value - 1, deadline=past)
 
 
-# An order-40 graph on which every kind's `solve`, and its refutation of
-# value - 1, count more than 256 nodes.
-DEEP = random_connected(40, 0.15, 4)
+# An order-60 graph on which every kind's `solve`, and its refutation of
+# value - 1, count more than 256 nodes, so that the clock is read twice.
+DEEP = random_connected(60, 0.1, 4)
+
+
+def test_deep_searches_count_past_256():
+    # the premise of the two tests below: a sharper bound can shorten these
+    # searches, and then DEEP must be re-picked
+    for kind in KINDS:
+        res = solve(DEEP, kind)
+        assert res.nodes > 256, kind
+        with pytest.raises(ScaleLimit):
+            exists_within(DEEP, kind, res.value - 1, budget=256)
 
 
 def test_solve_reports_its_node_count():
