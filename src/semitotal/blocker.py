@@ -11,7 +11,9 @@ kind's ct = 1 structures (sought on sets of size value) and ct = 2
 structures (on sets of size value + 1), and one scan, `_first_carrying`,
 serves `characterize_ct`, both classifiers and `min_set_spans_edge`.  Every
 contraction claim is re-checked by one replay, `replay_contraction`.  Every
-value comes from `domination.solve`; the searches, the sweeps and the
+value comes from `domination.solve`, except the value after a contraction
+that `ct_exact` finds: one contraction lowers the value by at most one, so
+it is the decided bound, base - 1.  The searches, the sweeps and the
 contraction scan all stop at SEMITOTAL_BUDGET.
 """
 
@@ -71,6 +73,21 @@ def ct_exact(
     certificate is reproducible.  A contracted graph already decided in
     this scan, down to its labels, is not decided again.  None when no
     k <= kmax works; ScaleLimit after search_budget() contractions.
+
+    The graph is solved once; each contraction is only decided, at
+    base - 1, and the certificate's value_after is base - 1 without a
+    second solve.  That is exact.  One edge contraction lowers the value
+    of any of the three kinds by at most one: let D' be feasible in H/e,
+    with e = uv merged into w.  If w is in D', then D' - w + {u, v} is
+    feasible in H.  If not, some x in D' dominates w and is adjacent to u,
+    say; then D' + u is feasible in H, since u covers v, x covers u, and
+    every member whose distance-2 witness path ran through w is within two
+    of u.  And when the scan reaches size k, every (k-1)-subset has failed:
+    a repeat is a graph already decided, a contraction down to one vertex
+    stays one vertex, and each k-subset's contraction is one more edge
+    contraction of a (k-1)-subset's graph, or that graph itself when the
+    edge closes a cycle.  So its value is at least base - 1.
+    `replay_contraction` re-solves the claim independently.
     """
     if not is_connected(g):
         raise Infeasible("ct_exact requires a connected graph")
@@ -93,8 +110,7 @@ def ct_exact(
                 continue
             decided.add(contracted.rows)
             if exists_within(contracted, kind, base - 1):
-                after = solve(contracted, kind).value
-                return k, ContractionCertificate(combo, base, after, vmap)
+                return k, ContractionCertificate(combo, base, base - 1, vmap)
     return None
 
 

@@ -346,8 +346,7 @@ def main(argv=None) -> int:
 
 def _emit(report: dict, started: float):
     report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
-    json.dump(report, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

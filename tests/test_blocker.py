@@ -119,16 +119,55 @@ def _parent_ct(g, kind, kmax=3):
     return None
 
 
-def test_ct_exact_matches_the_parent_search_at_order_36_to_42():
+def _ct_sample():
     # the graphs of the request traffic, where the scan's refutations run
     # the search's bounds deep
     for i in range(24):
         n = 36 + i % 7
-        g = random_connected(n, 1.5 * math.log(n) / n, 5000 + i)
+        yield random_connected(n, 1.5 * math.log(n) / n, 5000 + i)
+
+
+def test_ct_exact_matches_the_parent_search_at_order_36_to_42():
+    for g in _ct_sample():
         for kind in (DOM, TOT, SDS):
             res = ct_exact(g, kind)
             got = None if res is None else (res[0], res[1].edges, res[1].value_after)
             assert got == _parent_ct(g, kind), (to_graph6(g), kind)
+
+
+def test_one_contraction_lowers_the_value_by_at_most_one():
+    # the premise that lets ct_exact report base - 1 without solving again
+    cases = 0
+    for g in iter_connected_graphs(7, min_n=2):
+        values = {kind: solve(g, kind).value for kind in (DOM, TOT, SDS)}
+        for e in g.edges():
+            h, _ = contract_edges(g, [e])
+            for kind, before in values.items():
+                if h.n < 2 and kind is not DOM:
+                    continue
+                assert solve(h, kind).value >= before - 1, (to_graph6(g), e, kind)
+                cases += 1
+    assert cases == 31990
+
+
+def test_ct_exact_solves_once(monkeypatch):
+    # the value after the contraction is the decided bound, not a second solve
+    solved = []
+    real_solve = blocker.solve
+
+    def solve_spy(g, kind, **kw):
+        solved.append(g.rows)
+        return real_solve(g, kind, **kw)
+
+    monkeypatch.setattr(blocker, "solve", solve_spy)
+    found = 0
+    for g in [cycle_graph(10), *_ct_sample()]:
+        for kind in (DOM, TOT, SDS):
+            solved.clear()
+            res = ct_exact(g, kind)
+            assert solved == [g.rows]
+            found += res is not None
+    assert found > 0
 
 
 def test_ct_exact_decides_each_contracted_graph_once(monkeypatch):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from semitotal import (
@@ -5,6 +8,7 @@ from semitotal import (
     HVerdict,
     classify_h,
     complete_graph,
+    contains_induced,
     cycle_graph,
     disjoint_union,
     ec1_gt2_p3kp2free,
@@ -85,6 +89,28 @@ def test_find_A():
     assert find_A(path_graph(2), 1) is None
     with pytest.raises(PreconditionViolated):
         find_A(p7, 0)
+
+
+def _find_A_by_matcher(g, k):
+    pattern = disjoint_union([path_graph(3)] + [path_graph(2)] * (k - 1))
+    for combo in combinations(range(g.n), pattern.n):
+        if contains_induced(g, pattern, within=combo) is not None:
+            return frozenset(combo)
+    return None
+
+
+def test_find_A_matches_the_matcher_scan():
+    # the neighbour count inside each set against an induced-copy search
+    # over the same sets in the same order
+    rng = random.Random(14)
+    graphs = list(iter_connected_graphs(7))
+    for n in range(8, 14):
+        for p in (0.15, 0.3, 0.45):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            graphs.append(Graph.from_edges(n, edges))
+    for g in graphs:
+        for k in (1, 2, 3):
+            assert find_A(g, k) == _find_A_by_matcher(g, k), (g.n, g.edges(), k)
 
 
 def test_find_A_honours_the_budget(monkeypatch):
