@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from math import comb, isfinite
 from numbers import Real
 from time import monotonic
@@ -43,18 +42,10 @@ DEFAULT_BUDGET = 10**8
 
 
 def search_budget() -> int:
-    """Node / subset budget: SEMITOTAL_BUDGET, a positive integer, or the default.
-
-    The setting is read on every call; each distinct value is parsed once."""
+    """Node / subset budget: SEMITOTAL_BUDGET, a positive integer, or the default."""
     raw = os.environ.get("SEMITOTAL_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    return _parse_budget(raw)
-
-
-@lru_cache(maxsize=16)
-def _parse_budget(raw: str) -> int:
-    # lru_cache keeps no exception, so an invalid value raises on every call
     if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
         raise InvalidSetting(f"SEMITOTAL_BUDGET must be a positive integer, got {raw!r}")
     return int(raw)

@@ -197,7 +197,7 @@ def test_search_budget_reads_the_setting(monkeypatch):
 
 
 def test_search_budget_follows_a_changed_setting(monkeypatch):
-    # each value is parsed once, but the setting is read at every search
+    # the setting is read at every search
     monkeypatch.setenv("SEMITOTAL_BUDGET", "1000")
     assert solve(cycle_graph(6), SDS).value == 3
     monkeypatch.setenv("SEMITOTAL_BUDGET", "1")
@@ -205,13 +205,6 @@ def test_search_budget_follows_a_changed_setting(monkeypatch):
         solve(cycle_graph(6), SDS)
     monkeypatch.setenv("SEMITOTAL_BUDGET", "1000")
     assert solve(cycle_graph(6), SDS).value == 3
-
-
-def test_invalid_budget_raises_on_every_call(monkeypatch):
-    monkeypatch.setenv("SEMITOTAL_BUDGET", "abc")
-    for _ in range(2):
-        with pytest.raises(InvalidSetting):
-            search_budget()
 
 
 def test_enumerate_min_sets_scale_guard(monkeypatch):
