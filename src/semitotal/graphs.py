@@ -286,31 +286,57 @@ def embed(tables, checks, reuse, above, domains) -> tuple[int, ...] | None:
     is the lexicographically first in step order.  With one candidate per
     step, this verifies a given assignment; verify mode carries no `above`
     constraints, since it must accept any orientation of the given tuple.
+
+    The checks are applied by forward checking (Haralick and Elliott,
+    Artificial Intelligence 14, 1980): when step i takes a host, every
+    later step's domain is ANDed at once with the rows its checks against
+    step i name, and the host is skipped when a later step without `reuse`
+    has no candidate left outside the hosts used so far.  A reuse step gets
+    no such test, since the host it may repeat is already used.  The first
+    match is unchanged: the steps and their candidates keep their order,
+    `above` still acts at its own step, and a skipped host roots a subtree
+    in which that later step would find no candidate.
     """
     last = len(checks)
     hosts = [0] * last
+    # ahead[j]: each later step's checks against step j, with the table
+    # each reads and whether that step needs a host not used before
+    ahead = [[] for _ in range(last)]
+    for k, step in enumerate(checks):
+        for j, table, want in step:
+            ahead[j].append((k, tables[table], want, not reuse[k]))
 
-    def extend(i: int, used: int) -> bool:
+    def extend(i: int, used: int, doms) -> bool:
         if i == last:
             return True
-        dom = domains[i]
+        dom = doms[i]
         cand = dom & ~used
         for j in reuse[i]:
             cand |= dom & 1 << hosts[j]
-        for j, table, want in checks[i]:
-            row = tables[table][hosts[j]]
-            cand &= row if want else ~row
         for j in above[i]:
             cand &= -2 << hosts[j]  # only ids above the host of step j
+        forward = ahead[i]
         while cand:
             low = cand & -cand
-            hosts[i] = low.bit_length() - 1
-            if extend(i + 1, used | low):
+            host = hosts[i] = low.bit_length() - 1
+            if forward:
+                nxt = doms.copy()
+                free = ~(used | low)
+                for k, rows, want, distinct in forward:
+                    row = rows[host]
+                    left = nxt[k] & row if want else nxt[k] & ~row
+                    if distinct and not left & free:
+                        break  # step k has no candidate left
+                    nxt[k] = left
+                else:
+                    if extend(i + 1, used | low, nxt):
+                        return True
+            elif extend(i + 1, used | low, doms):
                 return True
             cand ^= low
         return False
 
-    return tuple(hosts) if extend(0, 0) else None
+    return tuple(hosts) if extend(0, 0, list(domains)) else None
 
 
 # -- induced / subgraph pattern search -----------------------------------

@@ -4,11 +4,15 @@ Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
 bitmask solvers under test; `relabel` and `complement` build a Graph
 only to feed inputs to the code under test, and `brute_canonical` returns
-one only so its answer compares with the labeller's.  The one exception
-is `ParentSearch`, the branch-and-bound walk as it was before the
-last-member step and the reach packing: it reuses the search's set-up and
-replaces only `run`, so that the tests can hold the new walk and bounds to
-the old ones, record by record.
+one only so its answer compares with the labeller's.  There are two
+exceptions, each a copy of an engine as it was before a change that must
+not alter its answers.  `ParentSearch` is the branch-and-bound walk before
+the last-member step and the reach packing: it reuses the search's set-up
+and replaces only `run`, so that the tests can hold the new walk and bounds
+to the old ones, record by record.  `parent_embed` is the matcher before
+forward checking, which filtered only the current step's domain; it takes
+the same plans as `graphs.embed`, so the tests can hold the two to the
+same first match.
 """
 
 from itertools import combinations, permutations
@@ -308,3 +312,32 @@ def parent_exists_within(g, kind, k):
     except _Found:
         return True
     return search.best <= k
+
+
+def parent_embed(tables, checks, reuse, above, domains):
+    """`graphs.embed` before forward checking: each step ANDs its own
+    checks into its candidate mask, and no step looks ahead."""
+    last = len(checks)
+    hosts = [0] * last
+
+    def extend(i: int, used: int) -> bool:
+        if i == last:
+            return True
+        dom = domains[i]
+        cand = dom & ~used
+        for j in reuse[i]:
+            cand |= dom & 1 << hosts[j]
+        for j, table, want in checks[i]:
+            row = tables[table][hosts[j]]
+            cand &= row if want else ~row
+        for j in above[i]:
+            cand &= -2 << hosts[j]  # only ids above the host of step j
+        while cand:
+            low = cand & -cand
+            hosts[i] = low.bit_length() - 1
+            if extend(i + 1, used | low):
+                return True
+            cand ^= low
+        return False
+
+    return tuple(hosts) if extend(0, 0) else None

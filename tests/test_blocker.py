@@ -249,6 +249,42 @@ def test_o3_roles_c_and_f_may_share_a_vertex():
     assert m.thick_edges == ((1, 4), (2, 3))
 
 
+def test_blocker_plans_keep_the_parent_first_match(monkeypatch):
+    # every plan of the mechanism table (O3 has a reuse step) over random
+    # member masks, and verify mode on each find and on random tuples, run
+    # again on the matcher before forward checking
+    rng = random.Random(15)
+    cases = []
+    for seed in range(24):
+        n = rng.randint(8, 20)
+        g = random_connected(n, rng.choice([0.15, 0.3, 0.5]), seed)
+        mask = sum(1 << v for v in rng.sample(range(n), rng.randint(3, n)))
+        cases.append((blocker._tables(g), mask))
+
+    def answers():
+        pick = random.Random(16)
+        per_plan, first = [], []
+        for tables, mask in cases:
+            members = [v for v in range(len(tables[0])) if mask >> v & 1]
+            for key, plan in blocker._PLANS.items():
+                found = blocker._first_embedding(tables, (key,), mask)
+                tuples = [tuple(pick.choice(members) for _ in plan[0]) for _ in range(4)]
+                if found is not None:
+                    tuples.append(found[1])
+                verdicts = [blocker._realised(tables, plan, t, members) for t in tuples]
+                per_plan.append((found, verdicts))
+            first.append(blocker._first_embedding(tables, tuple(blocker._PLANS), mask))
+        return per_plan, first
+
+    got = answers()
+    monkeypatch.setattr(blocker, "embed", oracles.parent_embed)
+    assert got == answers()
+    per_plan, _ = got
+    assert {found[0] for found, _ in per_plan if found is not None} == set(blocker._PLANS)
+    verdicts = {v for _, vs in per_plan for v in vs}
+    assert verdicts == {True, False}
+
+
 def test_plus1_sds_configuration_exists_for_c6():
     assert exists_plus1_sds_with_config(cycle_graph(6)) is not None
 

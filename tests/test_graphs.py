@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from semitotal import (
     Graph,
+    SatInstance,
     complete_graph,
     components,
     connected_graphs,
@@ -28,6 +29,8 @@ from semitotal import (
     parse_pattern,
     path_graph,
     random_connected,
+    reduce_2p3free,
+    reduce_chordal,
     star_graph,
     to_graph6,
 )
@@ -344,6 +347,61 @@ def test_broken_plans_find_the_unbroken_first_match():
                 for w in (None, within):
                     assert find(g, h, within=w) == _unbroken_match(g, h, induced, w), (
                         to_graph6(g), to_graph6(h), induced, w)
+
+
+def _plan_hosts(find, g, h, induced, mask):
+    _, *plan = _pattern_plan(h, induced)
+    return find((g.rows,), *plan, (mask,) * h.n)
+
+
+def test_forward_checking_keeps_the_parent_first_match():
+    # hosts above the frozen digest's order 7, where a forward check that
+    # dropped a copy would show, held to the matcher before forward checking
+    patterns = [parse_pattern(p) for p in (
+        "P4", "claw", "C4", "K3", "2P3", "P5", "C5", "P3+P2", "P4+P2", "P6")]
+    rng = random.Random(15)
+    tried = found = 0
+    for n in (8, 12, 16, 20, 28, 40):
+        for p in (0.1, 0.25, 0.5, 0.8):
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            within = sum(1 << v for v in rng.sample(range(n), rng.randint(6, n)))
+            for h in patterns:
+                for induced in (True, False):
+                    for mask in (g.full_mask(), within):
+                        got = _plan_hosts(embed, g, h, induced, mask)
+                        assert got == _plan_hosts(oracles.parent_embed, g, h, induced, mask), (
+                            to_graph6(g), to_graph6(h), induced, mask)
+                        tried += 1
+                        found += got is not None
+    assert 0 < found < tried  # some scans find a copy, some refute
+
+
+def test_host_refutations_match_the_parent_matcher():
+    # the hosts are free of their patterns by construction; after one added
+    # edge, which often plants a copy, both matchers give the same answer
+    rng = random.Random(15)
+    cases = [
+        (reduce_chordal(random_connected(n, 0.5, n), ell).graph, ("P6", "P4+P2"))
+        for n, ell in ((5, 3), (6, 4), (8, 3))
+    ] + [
+        (reduce_2p3free(SatInstance(nv, clauses)).graph, ("2P3",))
+        for nv, clauses in ((5, ((0, 1, 2), (2, 3, 4), (0, 3, 4))),
+                            (6, ((0, 1, 2), (3, 4, 5), (1, 3, 5))))
+    ]
+    for g, names in cases:
+        non_edges = [e for e in combinations(range(g.n), 2) if not g.has_edge(*e)]
+        rng.shuffle(non_edges)
+        for h in map(parse_pattern, names):
+            assert _plan_hosts(embed, g, h, True, g.full_mask()) is None
+            assert _plan_hosts(oracles.parent_embed, g, h, True, g.full_mask()) is None
+            planted = 0
+            for e in non_edges[:12]:
+                g2 = Graph.from_edges(g.n, [*g.edges(), e])
+                got = _plan_hosts(embed, g2, h, True, g.full_mask())
+                assert got == _plan_hosts(oracles.parent_embed, g2, h, True, g.full_mask()), (
+                    to_graph6(g2), to_graph6(h))
+                planted += got is not None
+            assert planted, (to_graph6(g), to_graph6(h))
 
 
 def test_plan_orbits_are_the_automorphism_group():
