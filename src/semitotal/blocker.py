@@ -28,6 +28,7 @@ from .graphs import (
     Graph,
     _bfs_dist,
     _bits,
+    _fold,
     _pattern_plan,
     contract_edges,
     embed,
@@ -70,9 +71,12 @@ def ct_exact(
     """Smallest k <= kmax whose k edge contractions lower the parameter.
 
     Scans edge subsets by size then lexicographic order, so the returned
-    certificate is reproducible.  A contracted graph already decided in
-    this scan, down to its labels, is not decided again.  None when no
-    k <= kmax works; ScaleLimit after search_budget() contractions.
+    certificate is reproducible.  Each subset is contracted on the rows
+    alone, by the fold `contract_edges` runs, and only the winning subset
+    is contracted again for its vertex map.  A contracted graph already
+    decided in this scan, down to its labels, is not decided again.  None
+    when no k <= kmax works; ScaleLimit after search_budget() contractions,
+    and each decision is capped at the same budget.
 
     The graph is solved once; each contraction is only decided, at
     base - 1, and the certificate's value_after is base - 1 without a
@@ -103,20 +107,23 @@ def ct_exact(
             visited += 1
             if visited > cap:
                 raise ScaleLimit(f"ct_exact exceeded {cap} contractions")
-            contracted, vmap = contract_edges(g, combo)
-            if contracted.n < 2 and kind is not DominationKind.DOMINATION:
+            rows = _fold(g.rows, combo)[0]
+            if len(rows) < 2 and kind is not DominationKind.DOMINATION:
                 continue
-            if contracted.rows in decided:
+            if rows in decided:
                 continue
-            decided.add(contracted.rows)
-            if exists_within(contracted, kind, base - 1):
+            decided.add(rows)
+            if exists_within(Graph(len(rows), rows), kind, base - 1, budget=cap):
+                vmap = contract_edges(g, combo)[1]
                 return k, ContractionCertificate(combo, base, base - 1, vmap)
     return None
 
 
 def replay_contraction(g: Graph, kind: DominationKind, edges, before: int) -> int | None:
     """The value after contracting the edges in g, re-solved, if it is below
-    before; None otherwise.  Every contraction claim is re-checked here."""
+    before; None otherwise.  Every contraction claim is re-checked here.
+    Inside a `solved_once` block the solve may be a stored result: the same
+    deterministic search on the same rows, so the check is unchanged."""
     contracted, _ = contract_edges(g, edges)
     after = solve(contracted, kind).value
     return after if after < before else None
@@ -444,7 +451,9 @@ def characterize_ct(g: Graph) -> CtVerdict:
 def validate_ct_verdict(g: Graph, verdict: CtVerdict) -> bool:
     """Re-check a verdict's evidence directly against the graph: the set, its
     structure and the thick edges it names, then its contraction claim by
-    `replay_contraction`."""
+    `replay_contraction`.  Its solves, like the replay's, may be results
+    stored by an open `solved_once` block: the same deterministic search on
+    the same rows, so it checks what a fresh solve would."""
     value = solve(g, _SDS).value
     mechanism, cert, m = verdict.mechanism, verdict.certificate, verdict.match
     if verdict.value != value:

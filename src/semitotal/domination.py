@@ -24,11 +24,15 @@ carrying some structure.  It shares only the ball helpers `_balls` and
 `solve_by_enumeration`, its smallest-size scan, is the independent
 reference the tests hold `solve` to; nothing in the package calls it.
 SEMITOTAL_BUDGET caps the nodes of every search and, through
-`check_subsets`, the C(n, k) subsets of every sweep."""
+`check_subsets`, the C(n, k) subsets of every sweep.  Inside a
+`solved_once` block, `solve` searches each (rows, kind) once and returns
+the stored result after that; outside one it always searches."""
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, isfinite
@@ -367,6 +371,22 @@ def _check_solvable(g: Graph, kind: DominationKind):
         raise Infeasible("solver requires a connected graph")
 
 
+# the results `solve` stored in the innermost open `solved_once` block
+_SOLVED: ContextVar[dict | None] = ContextVar("solved", default=None)
+
+
+@contextmanager
+def solved_once():
+    """A scope in which `solve` searches each (rows, kind) at most once.
+    Nothing outlives the block and a nested block starts empty, so memory
+    is bounded by one caller's unit of work, such as one visited graph."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
 def solve(
     g: Graph,
     kind: DominationKind,
@@ -378,12 +398,27 @@ def solve(
 
     `budget` caps the nodes (default search_budget()); `deadline` is a time
     on the `time.monotonic` clock.  InvalidSetting for a budget that is not
-    a non-negative int or a deadline that is not a finite real."""
+    a non-negative int or a deadline that is not a finite real.
+
+    Inside a `solved_once` block, a call with neither limit returns the
+    result stored for the same rows and kind, the very object the first
+    call returned; the search is deterministic, so that is the result a
+    second search would give.  A call with a limit always searches, and a
+    call that raises stores nothing."""
+    memo = _SOLVED.get() if budget is None and deadline is None else None
+    if memo is not None:
+        key = g.rows, kind
+        stored = memo.get(key)
+        if stored is not None:
+            return stored
     _check_solvable(g, kind)
     search = _Search(g, kind, budget, deadline, stop_at=None)
     search.greedy()
     search.run(0, 0, 0, 0)
-    return SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
+    result = SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def exists_within(

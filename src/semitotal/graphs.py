@@ -162,6 +162,41 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
     return Graph(len(vs), tuple(rows)), remap
 
 
+def contract_rows(rows: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
+    """The rows after contracting the edge xy, x < y: y merges into x, and
+    every id above y moves down by one."""
+    xb, yb = 1 << x, 1 << y
+    low = yb - 1
+    merged = (rows[x] | rows[y]) & ~(xb | yb)
+    out = []
+    for v, r in enumerate(rows):
+        if v == x:
+            r = merged
+        elif v == y:
+            continue
+        elif r & yb:
+            r |= xb
+        out.append(r & low | r >> 1 & ~low)
+    return tuple(out)
+
+
+def _fold(rows: tuple[int, ...], edges) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Fold `contract_rows` over the edges, each mapped through the steps
+    before it; an edge inside an already merged class is skipped.  Returns
+    the rows and the (x, y) steps taken."""
+    steps = []
+    for u, v in edges:
+        for x, y in steps:
+            u = x if u == y else u - (u > y)
+            v = x if v == y else v - (v > y)
+        if u != v:
+            if u > v:
+                u, v = v, u
+            rows = contract_rows(rows, u, v)
+            steps.append((u, v))
+    return rows, steps
+
+
 def contract_edges(g: Graph, edges) -> tuple[Graph, dict[int, int]]:
     """Contract a set of edges simultaneously (partition semantics).
 
@@ -170,6 +205,12 @@ def contract_edges(g: Graph, edges) -> tuple[Graph, dict[int, int]]:
     smallest old id in its component; survivors are then compacted to
     0..n'-1 preserving old-id order.  Returns the contracted graph and the
     total old-id -> new-id map.
+
+    The edges are contracted one at a time by `contract_rows`.  Each step
+    merges two classes into the place of the one with the smaller least
+    member and keeps every other class's place in order, so after the last
+    step each class sits at the rank of its least member: the quotient
+    above, whatever the order of the edges.
     """
     edge_list = [normalize_edge(u, v) for u, v in edges]
     if not edge_list:
@@ -177,43 +218,11 @@ def contract_edges(g: Graph, edges) -> tuple[Graph, dict[int, int]]:
     for u, v in edge_list:
         if not g.has_edge(u, v):
             raise InvalidEdge(f"contract_edges: ({u},{v}) is not an edge")
-
-    # each class of the selected edges folds into its smallest member
-    sel: dict[int, int] = {}
-    for u, v in edge_list:
-        sel[u] = sel.get(u, 0) | 1 << v
-        sel[v] = sel.get(v, 0) | 1 << u
-    rows = list(g.rows)
-    root = list(range(g.n))
-    gone = 0
-    for r in sorted(sel):
-        if gone >> r & 1:
-            continue
-        cls = _reach(sel, 1 << r)
-        away = cls ^ 1 << r
-        merged = 0
-        for w in _bits(cls):
-            merged |= rows[w]
-            root[w] = r
-        rows[r] = merged = merged & ~cls
-        for x in _bits(merged):
-            rows[x] = rows[x] & ~away | 1 << r
-        gone |= away
-
-    # close the gaps the merged-away ids leave, highest first
-    gaps = sorted(_bits(gone), reverse=True)
-    out = []
-    index = [0] * g.n
-    for v in range(g.n):
-        if gone >> v & 1:
-            index[v] = index[root[v]]
-            continue
-        row = rows[v]
-        for p in gaps:
-            row = row & ((1 << p) - 1) | row >> (p + 1) << p
-        index[v] = len(out)
-        out.append(row)
-    return Graph(len(out), tuple(out)), dict(enumerate(index))
+    rows, steps = _fold(g.rows, edge_list)
+    index = list(range(g.n))
+    for x, y in steps:
+        index = [x if i == y else i - (i > y) for i in index]
+    return Graph(len(rows), rows), dict(enumerate(index))
 
 
 def disjoint_union(graphs) -> Graph:

@@ -10,9 +10,14 @@ Every exhaustive suite is a per-graph visitor run by one sweep, `_sweep`.
 The visitor returns {check stem: passed} for the checks that examined the
 graph, and a stem that examined no graph emits no check, so no check
 passes on nothing; `run_suite` raises InvalidSetting when a run emits no
-check at all.  Suites raise ScaleLimit rather than silently truncating
-when asked for more than the enumeration can sustain.  The only random
-input is appB's fixed order-9 sample of 2P3-free graphs.
+check at all.  A visit asks for the same graph's value several times, in
+the suite itself, `ct_exact`, `characterize_ct`, the classifiers and the
+re-checks, so each visit runs in one `domination.solved_once` block and
+searches each (graph, kind) once; nothing is kept from one visit to the
+next, so memory does not grow with the sweep.  Suites raise ScaleLimit
+rather than silently truncating when asked for more than the enumeration
+can sustain.  The only random input is appB's fixed order-9 sample of
+2P3-free graphs, and each sampled graph gets its own block too.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .domination import (
     DominationKind,
     enumerate_min_sets,
     solve,
+    solved_once,
 )
 from .blocker import (
     characterize_ct,
@@ -87,12 +93,15 @@ def _sweep(graphs, suffix: str, stems: tuple[str, ...], visit) -> list[CheckResu
     """One check `<stem>-<suffix>` per stem that examined some graph.
 
     visit(g) returns {stem: passed} for the stems that examined g; a stem
-    that examined none of the graphs emits no check.
+    that examined none of the graphs emits no check.  Each visit runs in
+    its own `solved_once` block.
     """
     bad: dict[str, list[str]] = {stem: [] for stem in stems}
     examined = dict.fromkeys(stems, 0)
     for g in graphs:
-        for stem, passed in visit(g).items():
+        with solved_once():
+            passed_by_stem = visit(g)
+        for stem, passed in passed_by_stem.items():
             examined[stem] += 1
             if not passed:
                 bad[stem].append(to_graph6(g))
@@ -268,11 +277,12 @@ def suite_2p3_encoding(max_n: int = 8) -> list[CheckResult]:
             if contains_induced(g, _2P3) is not None:
                 continue
             sampled += 1
-            if solve(g, _SDS).value < 3:
-                continue
-            checked += 1
-            if not _independence_equivalence(g):
-                bad.append(to_graph6(g))
+            with solved_once():
+                if solve(g, _SDS).value < 3:
+                    continue
+                checked += 1
+                if not _independence_equivalence(g):
+                    bad.append(to_graph6(g))
         checks.append(_check(
             f"independence-equivalence-sampled-n{_SAMPLE_ORDER}",
             not bad and sampled >= _SAMPLE_COUNT,

@@ -96,7 +96,7 @@ def test_ac02_characterization_matches_contraction_oracle():
 
 
 def test_ac03_variant_classifiers_match_contraction_oracle():
-    _assert_all_pass(run_suite("huangxu", max_n=7))
+    _assert_all_pass(run_suite("huangxu", max_n=8))
 
 
 def test_ac04_tree_expansion_identity():

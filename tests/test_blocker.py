@@ -172,31 +172,32 @@ def test_ct_exact_solves_once(monkeypatch):
 
 def test_ct_exact_decides_each_contracted_graph_once(monkeypatch):
     # every distinct contraction the scan reaches is decided, and once
-    decided, contracted = [], []
-    real_exists, real_contract = blocker.exists_within, blocker.contract_edges
+    decided = []
+    real_exists = blocker.exists_within
 
-    def exists_spy(h, kind, k):
+    def exists_spy(h, kind, k, **kw):
         decided.append(h.rows)
-        return real_exists(h, kind, k)
-
-    def contract_spy(g, edges):
-        h, vmap = real_contract(g, edges)
-        contracted.append(h.rows)
-        return h, vmap
+        return real_exists(h, kind, k, **kw)
 
     monkeypatch.setattr(blocker, "exists_within", exists_spy)
-    monkeypatch.setattr(blocker, "contract_edges", contract_spy)
     repeats = 0
     for g in connected_graphs(6):
         for kind in (DOM, TOT, SDS):
             decided.clear()
-            contracted.clear()
-            ct_exact(g, kind, 3)
+            res = ct_exact(g, kind, 3)
+            if solve(g, kind).value <= blocker._FLOOR[kind]:
+                assert not decided
+                continue
+            # the combinations the scan reaches, in its order, up to its answer
+            combos = [c for k in (1, 2, 3) for c in combinations(sorted(g.edges()), k)]
+            if res is not None:
+                combos = combos[: combos.index(res[1].edges) + 1]
+            contracted = [contract_edges(g, c)[0] for c in combos]
             # a total or semitotal scan passes over contractions to one vertex
-            reached = [rows for rows in contracted if len(rows) >= 2 or kind is DOM]
+            rows = [h.rows for h in contracted if h.n >= 2 or kind is DOM]
             assert len(decided) == len(set(decided))
-            assert set(decided) == set(reached)
-            repeats += len(reached) - len(decided)
+            assert set(decided) == set(rows)
+            repeats += len(rows) - len(decided)
     assert repeats > 0
 
 

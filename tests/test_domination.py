@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -364,3 +365,84 @@ def test_deadline_read_at_every_256th_count(monkeypatch):
             solve(DEEP, kind, deadline=past)
         with pytest.raises(ScaleLimit):
             exists_within(DEEP, kind, solve(DEEP, kind).value - 1, deadline=past)
+
+
+def _search_runs(monkeypatch) -> list:
+    """Record every call of the search's `run`, the root's and the children's."""
+    runs = []
+    real_run = domination._Search.run
+
+    def run_spy(self, *args):
+        runs.append(args)
+        return real_run(self, *args)
+
+    monkeypatch.setattr(domination._Search, "run", run_spy)
+    return runs
+
+
+def test_solved_once_searches_each_graph_and_kind_once(monkeypatch):
+    runs = _search_runs(monkeypatch)
+    g = cycle_graph(9)
+    with domination.solved_once():
+        first = solve(g, SDS)
+        searched = len(runs)
+        assert searched > 0
+        # equal rows hit, whatever the Graph object
+        assert solve(Graph(g.n, g.rows), SDS) is first
+        assert len(runs) == searched
+        # each kind is stored on its own
+        total = solve(g, TOT)
+        assert len(runs) > searched
+        assert total.kind is TOT and solve(g, TOT) is total
+        assert solve(g, SDS) is first
+
+
+def test_solved_once_leaves_limited_calls_alone(monkeypatch):
+    runs = _search_runs(monkeypatch)
+    g = random_connected(12, 0.3, 1)
+    with domination.solved_once():
+        stored = solve(g, SDS)
+        with pytest.raises(ScaleLimit):
+            solve(g, SDS, budget=0)
+        with pytest.raises(ScaleLimit):
+            solve(g, SDS, deadline=monotonic() - 1)
+        assert solve(g, SDS) is stored
+    with domination.solved_once():
+        # a limited call neither reads nor writes the memo
+        limited = solve(g, SDS, budget=DEFAULT_BUDGET)
+        before = len(runs)
+        assert solve(g, SDS) == limited
+        assert len(runs) > before
+
+
+def test_solved_once_stores_no_failure(monkeypatch):
+    runs = _search_runs(monkeypatch)
+    g = cycle_graph(9)  # its search visits 14 nodes
+    with domination.solved_once():
+        monkeypatch.setenv("SEMITOTAL_BUDGET", "1")
+        with pytest.raises(ScaleLimit):
+            solve(g, SDS)
+        monkeypatch.delenv("SEMITOTAL_BUDGET")
+        before = len(runs)
+        assert solve(g, SDS).value == oracles.brute_value(g.n, g.edges(), SDS.value)
+        assert len(runs) > before
+        with pytest.raises(Infeasible):
+            solve(disjoint_union([path_graph(2), path_graph(2)]), DOM)
+
+
+def test_solved_once_keeps_nothing_past_its_block(monkeypatch):
+    runs = _search_runs(monkeypatch)
+    g = cycle_graph(9)
+    with domination.solved_once():
+        solve(g, SDS)
+    for scope in (domination.solved_once, contextlib.nullcontext):
+        before = len(runs)
+        with scope():
+            solve(g, SDS)
+        assert len(runs) > before
+    # a nested block starts empty, and the outer one is back after it
+    with domination.solved_once():
+        outer = solve(g, SDS)
+        with domination.solved_once():
+            assert solve(g, SDS) is not outer
+        assert solve(g, SDS) is outer

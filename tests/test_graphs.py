@@ -35,7 +35,7 @@ from semitotal import (
     to_graph6,
 )
 from semitotal.errors import GenerationFailed, InvalidEdge, ParseError
-from semitotal.graphs import _pattern_plan, distance, embed, normalize_edge
+from semitotal.graphs import _pattern_plan, contract_rows, distance, embed, normalize_edge
 
 import oracles
 from conftest import connected_graphs_st
@@ -113,11 +113,10 @@ def test_contract_rejects_non_edges():
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs_st(min_n=3, max_n=8), st.data())
 def test_contract_matches_oracle_quotient(g, data):
+    # edges may repeat and come in either orientation
     edges = g.edges()
-    k = data.draw(st.integers(1, min(3, len(edges))))
-    chosen = data.draw(
-        st.lists(st.sampled_from(edges), min_size=k, max_size=k, unique=True)
-    )
+    either = st.sampled_from(edges).flatmap(lambda e: st.sampled_from((e, e[::-1])))
+    chosen = data.draw(st.lists(either, min_size=1, max_size=4))
     h, vmap = contract_edges(g, chosen)
     qn, qe = oracles.contract(g.n, edges, chosen)
     assert h.n == qn and h.m == len(qe)
@@ -127,6 +126,16 @@ def test_contract_matches_oracle_quotient(g, data):
     }
     assert mapped == set(h.edges())
     assert set(vmap.values()) == set(range(h.n))
+
+
+def test_contract_rows_matches_oracle_for_one_edge():
+    # a single step: y merges into x and the ids above y move down by one
+    for g in iter_connected_graphs(6, min_n=2):
+        edges = g.edges()
+        for x, y in edges:
+            rows = contract_rows(g.rows, x, y)
+            assert (len(rows), Graph(len(rows), rows).edges()) == oracles.contract(
+                g.n, edges, [(x, y)])
 
 
 def test_contract_matches_oracle_exhaustively():

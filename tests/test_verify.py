@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from semitotal import SUITES, InvalidSetting, ScaleLimit, run_suite
+from semitotal import SUITES, InvalidSetting, ScaleLimit, connected_graphs, run_suite
+from semitotal import blocker, domination, verify
 
 EXPECTED_SUITES = [
     "appB",
@@ -46,6 +47,32 @@ def test_a_run_that_examines_nothing_raises():
     for name, max_n in (("thm32", 4), ("separation", 1)):
         with pytest.raises(InvalidSetting):
             run_suite(name, max_n=max_n)
+
+
+def test_a_visit_solves_each_graph_once(monkeypatch):
+    # the suite asks for values more often than it searches, and a solve
+    # after the run searches afresh
+    calls, searches = [], []
+    real_solve, real_greedy = domination.solve, domination._Search.greedy
+
+    def solve_spy(g, kind, **kw):
+        calls.append(g.rows)
+        return real_solve(g, kind, **kw)
+
+    def greedy_spy(self):
+        searches.append(self.rows)
+        return real_greedy(self)
+
+    for module in (blocker, verify):
+        monkeypatch.setattr(module, "solve", solve_spy)
+    monkeypatch.setattr(domination._Search, "greedy", greedy_spy)
+    assert _all_pass(run_suite("thm34", max_n=6))
+    assert 0 < len(searches) < len(calls)
+    g = connected_graphs(6)[-1]
+    assert g.rows in calls
+    searches.clear()
+    real_solve(g, domination.DominationKind.SEMITOTAL)
+    assert searches == [g.rows]
 
 
 def test_mechanism_suite_small():
