@@ -45,7 +45,6 @@ from .domination import (
     is_feasible,
     solve,
     solve_by_enumeration,
-    witnesses_of,
 )
 from .blocker import (
     ConfigMatch,
@@ -58,8 +57,6 @@ from .blocker import (
     classify_ct_total,
     ct_exact,
     exists_plus1_sds_with_config,
-    has_friendly_triple,
-    match_st_configuration,
     min_sds_has_friendly_triple,
     min_set_spans_edge,
     p4_forces_config,

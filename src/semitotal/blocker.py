@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .errors import FloorError, Infeasible, ScaleLimit
+from .errors import FloorError, ScaleLimit
 from .graphs import (
     Graph,
     _bfs_dist,
@@ -32,7 +32,6 @@ from .graphs import (
     _pattern_plan,
     contract_edges,
     embed,
-    is_connected,
     normalize_edge,
     vertex_mask,
 )
@@ -92,9 +91,11 @@ def ct_exact(
     contraction of a (k-1)-subset's graph, or that graph itself when the
     edge closes a cycle.  So its value is at least base - 1.
     `replay_contraction` re-solves the claim independently.
+
+    The input goes through `solve`'s gate, the first call: Infeasible for a
+    disconnected graph, or for total or semitotal domination on fewer than
+    two vertices.
     """
-    if not is_connected(g):
-        raise Infeasible("ct_exact requires a connected graph")
     base = solve(g, kind).value
     if base <= _FLOOR[kind]:
         return None
@@ -152,20 +153,12 @@ def _realised(tables, plan, hosts, s) -> bool:
     return embed(tables, checks, reuse, ((),) * len(checks), pins) is not None
 
 
-# roles x, y, z: xy an edge, z within distance two of y
+# roles x, y, z: xy an edge, z within distance two of y.  The middle role is
+# asymmetric, so both orientations of each edge are tried.  Contracting xy
+# inside a minimum semitotal dominating set lowers the parameter.
 _TRIPLE = ((), ((0, _ADJ, True),), ((1, _NEAR, True),)), ((), (), ()), ((), (), ())
 # roles u, v: v within distance two of u
 _PAIR = ((), ((0, _NEAR, True),)), ((), ()), ((), ())
-
-
-def has_friendly_triple(g: Graph, d) -> tuple[int, int, int] | None:
-    """First (x, y, z) in d with xy an edge and d(y, z) <= 2, in lex order.
-
-    The middle role is asymmetric, so both orientations of each edge are
-    tried.  Contracting xy inside a minimum semitotal dominating set d
-    lowers the parameter.
-    """
-    return embed(_tables(g), *_TRIPLE, (vertex_mask(g, d),) * 3)
 
 
 # -- the seven two-contraction configurations ----------------------------
@@ -332,17 +325,6 @@ def _read_ct(g: Graph, kind: DominationKind):
     return value, 3, None
 
 
-def match_st_configuration(g: Graph, s) -> ConfigMatch | None:
-    """First configuration O1..O7 realised inside s, scanning ids in order.
-
-    Role tuples are tried in lexicographic order over the sorted members of
-    s; distances are measured in the whole graph, not in the subgraph
-    induced by s.
-    """
-    found = _first_embedding(_tables(g), STConfigId, vertex_mask(g, s))
-    return None if found is None else _config_match(*found)
-
-
 def min_sds_has_friendly_triple(g: Graph) -> tuple[frozenset[int], tuple[int, int, int]] | None:
     """First minimum semitotal dominating set carrying a friendly triple."""
     found = _first_carrying(g, _SDS, solve(g, _SDS).value, _MECHANISMS[_SDS][0])
@@ -433,9 +415,9 @@ class CtVerdict:
 
 
 def characterize_ct(g: Graph) -> CtVerdict:
-    """Determine ct for semitotal domination together with its witness."""
-    if not is_connected(g):
-        raise Infeasible("characterize_ct requires a connected graph")
+    """Determine ct for semitotal domination together with its witness.
+    The input goes through `solve`'s gate, the first call: Infeasible for a
+    disconnected graph or one on fewer than two vertices."""
     value, k, found = _read_ct(g, _SDS)
     if k is None:
         return CtVerdict(value, CtMechanism.FLOOR)

@@ -166,7 +166,8 @@ class _Search:
     the calls of `run` and the children handed to `_last`, not the skipped
     ones.  At every count the budget is checked, and the deadline clock is
     read at the first count and then at each multiple of 256, both through
-    one threshold, `check_at`."""
+    one threshold, `check_at`.  The budget and deadline arrive checked, as
+    `_check_solvable` returns them."""
 
     def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
         n = g.n
@@ -184,8 +185,8 @@ class _Search:
         self.covers = [None] * n  # per vertex: the ranks its ball covers
         self.near = [None] * n  # per vertex: its distance-2 ball, itself excluded
         self.reach = [None] * n  # per rank: the ranks whose balls meet its ball
-        self.budget = search_budget() if budget is None else _checked_budget(budget)
-        self.deadline = None if deadline is None else _checked_deadline(deadline)
+        self.budget = budget
+        self.deadline = deadline
         self.stop_at = stop_at
         self.nodes = 0
         self.check_at = 1  # the count at which `_check` next runs
@@ -364,11 +365,19 @@ class _Search:
                 raise _Found
 
 
-def _check_solvable(g: Graph, kind: DominationKind):
+def _check_solvable(g: Graph, kind: DominationKind, budget=None, deadline=None):
+    """The gate of every search, run before any work: Infeasible for a
+    disconnected graph, or for total or semitotal domination on fewer than
+    2 vertices; then the checked limits, (budget, deadline), the budget
+    defaulting to search_budget()."""
     if kind is not DominationKind.DOMINATION and g.n < 2:
         raise Infeasible(f"{kind.value} domination needs at least 2 vertices")
     if not is_connected(g):
         raise Infeasible("solver requires a connected graph")
+    return (
+        search_budget() if budget is None else _checked_budget(budget),
+        None if deadline is None else _checked_deadline(deadline),
+    )
 
 
 # the results `solve` stored in the innermost open `solved_once` block
@@ -411,8 +420,8 @@ def solve(
         stored = memo.get(key)
         if stored is not None:
             return stored
-    _check_solvable(g, kind)
-    search = _Search(g, kind, budget, deadline, stop_at=None)
+    limits = _check_solvable(g, kind, budget, deadline)
+    search = _Search(g, kind, *limits, stop_at=None)
     search.greedy()
     search.run(0, 0, 0, 0)
     result = SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
@@ -431,10 +440,10 @@ def exists_within(
 ) -> bool:
     """Decision variant: is there a feasible set of size at most k?  The
     limits are those of `solve`, checked the same way."""
-    _check_solvable(g, kind)
-    search = _Search(g, kind, budget, deadline, stop_at=k)
+    limits = _check_solvable(g, kind, budget, deadline)
     if k <= 0:
         return False
+    search = _Search(g, kind, *limits, stop_at=k)
     try:
         search.run(0, 0, 0, 0)
     except _Found:
@@ -486,12 +495,3 @@ def enumerate_min_sets(g: Graph, kind: DominationKind) -> list[frozenset[int]]:
     """All minimum sets for the variant, in lexicographic subset order."""
     value = solve(g, kind).value
     return [frozenset(d) for d in feasible_sets(g, kind, value)]
-
-
-def witnesses_of(g: Graph, d, v: int) -> frozenset[int]:
-    """Members of d other than v within distance two of v."""
-    dset = set(d)
-    if v not in dset:
-        raise NotInSet(f"vertex {v} is not in the given set")
-    dmask = vertex_mask(g, dset)
-    return frozenset(_bits(_near(g.rows, v) & dmask))

@@ -104,10 +104,6 @@ def all_pairs_distances(g: Graph) -> list[list[float]]:
     return [_bfs_dist(g.rows, g.n, s) for s in range(g.n)]
 
 
-def distance(g: Graph, u: int, v: int) -> float:
-    return _bfs_dist(g.rows, g.n, u)[v]
-
-
 def _reach(rows, seen: int) -> int:
     """Mask of every vertex reachable from the vertices of `seen`; rows maps
     each reachable vertex to its neighbour mask."""

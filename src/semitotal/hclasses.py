@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .errors import Infeasible, PreconditionViolated
+from .errors import PreconditionViolated
 from .graphs import (
     Graph,
     _bits,
@@ -96,11 +96,10 @@ def ec1_gt2_p5free(g: Graph) -> bool:
     this class always admits a lowering contraction, so asking for a set of
     at most two vertices settles the answer.  No single vertex is semitotal,
     and the bound stops the search at depth two: the test stays polynomial.
+    `exists_within` raises Infeasible on fewer than two vertices.
     """
     if not is_connected(g) or not is_h_free(g, _P5):
         raise PreconditionViolated("expects a connected P5-free graph")
-    if g.n < 2:
-        raise Infeasible("semitotal domination needs at least two vertices")
     return not exists_within(g, DominationKind.SEMITOTAL, 2)
 
 
@@ -211,19 +210,16 @@ def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
         raise PreconditionViolated("k must be at least 1")
     if not is_connected(g) or not is_h_free(g, _p3_plus(k)):
         raise PreconditionViolated("expects a connected P3+kP2-free graph")
-    if g.n < 2:
-        raise Infeasible("semitotal domination needs at least two vertices")
-    # value 2 is the floor; no contraction can help
+    # value 2 is the floor; no contraction can help.  exists_within raises
+    # Infeasible on fewer than two vertices.
     if exists_within(g, DominationKind.SEMITOTAL, 2):
         return False
-    while k >= 1:
-        anchor = find_A(g, k)
-        if anchor is not None:
-            break
+    # some k >= 1 finds an anchor: a connected graph with no induced P3 is
+    # complete, so its value is at most 2 and it has returned above
+    anchor = find_A(g, k)
+    while anchor is None:
         k -= 1
-    else:
-        # no induced P3 and connected means a clique
-        return False
+        anchor = find_A(g, k)
     part = abc_partition(g, anchor, k)
     if part.R:
         return min_set_spans_edge(g, DominationKind.DOMINATION)

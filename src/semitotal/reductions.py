@@ -157,9 +157,6 @@ class ReductionOutput:
     source_graph: Graph | None = None
     source_sat: SatInstance | None = None
 
-    def label_of(self) -> dict[int, str]:
-        return {v: k for k, v in self.labels.items()}
-
 
 class _Builder:
     def __init__(self):

@@ -14,10 +14,11 @@ check at all.  A visit asks for the same graph's value several times, in
 the suite itself, `ct_exact`, `characterize_ct`, the classifiers and the
 re-checks, so each visit runs in one `domination.solved_once` block and
 searches each (graph, kind) once; nothing is kept from one visit to the
-next, so memory does not grow with the sweep.  Suites raise ScaleLimit
-rather than silently truncating when asked for more than the enumeration
-can sustain.  The only random input is appB's fixed order-9 sample of
-2P3-free graphs, and each sampled graph gets its own block too.
+next, so memory does not grow with the sweep.  `_sweep` is the one place
+that opens such a block.  Suites raise ScaleLimit rather than silently
+truncating when asked for more than the enumeration can sustain.  The
+only random input is appB's fixed order-9 sample of 2P3-free graphs,
+`_sample_2p3free`, and `_sweep` runs it like any other source.
 """
 
 from __future__ import annotations
@@ -235,6 +236,23 @@ def _covering_instances() -> list[SatInstance]:
     return instances
 
 
+def _sample_2p3free():
+    """The first _SAMPLE_COUNT 2P3-free graphs among seeded random connected
+    graphs of order _SAMPLE_ORDER; ScaleLimit if 400 draws per graph run
+    out first."""
+    rng = random.Random(_SAMPLE_SEED)
+    sampled = 0
+    for _ in range(400 * _SAMPLE_COUNT):
+        p = rng.choice((0.35, 0.5, 0.65, 0.8))
+        g = random_connected(_SAMPLE_ORDER, p, rng.randrange(2**31))
+        if contains_induced(g, _2P3) is None:
+            yield g
+            sampled += 1
+            if sampled == _SAMPLE_COUNT:
+                return
+    raise ScaleLimit(f"{400 * _SAMPLE_COUNT} draws gave {sampled} 2P3-free graphs")
+
+
 def _independence_equivalence(g) -> bool:
     """One contraction helps iff some minimum set spans an edge."""
     return (ct_exact(g, _SDS, 1) is not None) == min_set_spans_edge(g, _SDS)
@@ -267,28 +285,8 @@ def suite_2p3_encoding(max_n: int = 8) -> list[CheckResult]:
         min(max_n, _MAX_EXHAUSTIVE), _MAX_EXHAUSTIVE, ("independence-equivalence",), visit)
 
     if max_n > _MAX_EXHAUSTIVE:
-        rng = random.Random(_SAMPLE_SEED)
-        bad = []
-        sampled = checked = attempts = 0
-        while sampled < _SAMPLE_COUNT and attempts < 400 * _SAMPLE_COUNT:
-            attempts += 1
-            p = rng.choice((0.35, 0.5, 0.65, 0.8))
-            g = random_connected(_SAMPLE_ORDER, p, rng.randrange(2**31))
-            if contains_induced(g, _2P3) is not None:
-                continue
-            sampled += 1
-            with solved_once():
-                if solve(g, _SDS).value < 3:
-                    continue
-                checked += 1
-                if not _independence_equivalence(g):
-                    bad.append(to_graph6(g))
-        checks.append(_check(
-            f"independence-equivalence-sampled-n{_SAMPLE_ORDER}",
-            not bad and sampled >= _SAMPLE_COUNT,
-            f"{sampled} sampled, {checked} off the floor"
-            + (f", {len(bad)} failed e.g. {' '.join(bad[:5])}" if bad else ""),
-        ))
+        checks += _sweep(_sample_2p3free(), f"sampled-n{_SAMPLE_ORDER}",
+                         ("independence-equivalence",), visit)
     return checks
 
 

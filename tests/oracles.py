@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from time import monotonic
 
 from semitotal import Graph
-from semitotal.domination import _Found, _Search
+from semitotal.domination import _Found, _Search, search_budget
 from semitotal.errors import ScaleLimit
 from semitotal.graphs import _bits
 
@@ -296,7 +296,7 @@ class ParentSearch(_Search):
 
 def parent_solve(g, kind):
     """(value, witness) from `ParentSearch`, seeded as `solve` seeds it."""
-    search = ParentSearch(g, kind, None, None, stop_at=None)
+    search = ParentSearch(g, kind, search_budget(), None, stop_at=None)
     search.greedy()
     search.run(0, 0, 0, 0)
     return search.best, frozenset(_bits(search.best_mask))
@@ -306,7 +306,7 @@ def parent_exists_within(g, kind, k):
     """`exists_within` on `ParentSearch`."""
     if k <= 0:
         return False
-    search = ParentSearch(g, kind, None, None, stop_at=k)
+    search = ParentSearch(g, kind, search_budget(), None, stop_at=k)
     try:
         search.run(0, 0, 0, 0)
     except _Found:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from semitotal import blocker
+from semitotal import blocker, domination
 from semitotal import (
     CtMechanism,
     DominationKind,
@@ -23,13 +24,12 @@ from semitotal import (
     contract_edges,
     ct_exact,
     cycle_graph,
+    disjoint_union,
     exists_plus1_sds_with_config,
     feasible_sets,
     from_graph6,
-    has_friendly_triple,
     is_feasible,
     iter_connected_graphs,
-    match_st_configuration,
     min_sds_has_friendly_triple,
     p4_forces_config,
     parse_pattern,
@@ -41,7 +41,8 @@ from semitotal import (
     to_graph6,
     validate_ct_verdict,
 )
-from semitotal.errors import FloorError, ScaleLimit
+from semitotal.errors import FloorError, Infeasible, ScaleLimit
+from semitotal.graphs import vertex_mask
 
 import oracles
 from conftest import connected_graphs_st
@@ -49,6 +50,17 @@ from conftest import connected_graphs_st
 DOM = DominationKind.DOMINATION
 TOT = DominationKind.TOTAL
 SDS = DominationKind.SEMITOTAL
+
+
+def _carried(g, s, structures):
+    """The first of the structures realised inside s, as the scan finds it."""
+    return blocker._first_embedding(blocker._tables(g), structures, vertex_mask(g, s))
+
+
+def _config_in(g, s):
+    """The first configuration O1..O7 realised inside s, or None."""
+    found = _carried(g, s, STConfigId)
+    return None if found is None else blocker._config_match(*found)
 
 # first enumeration-order graphs per contraction count, oracle-confirmed
 FROZEN_CT = [
@@ -205,6 +217,37 @@ def test_ct_exact_kmax_zero():
     assert ct_exact(cycle_graph(6), SDS, 0) is None
 
 
+@pytest.mark.parametrize("scope", [domination.solved_once, contextlib.nullcontext])
+def test_blocker_inputs_go_through_the_solve_gate(scope):
+    # neither entry point checks its input itself: `solve`, its first call,
+    # rejects it, and a solve that raised left nothing stored in the block
+    two = disjoint_union([path_graph(2), path_graph(3)])
+    one = Graph(1, (0,))
+    with scope():
+        for _ in range(2):
+            for kind in (DOM, TOT, SDS):
+                with pytest.raises(Infeasible):
+                    ct_exact(two, kind, 3)
+            for kind in (TOT, SDS):
+                with pytest.raises(Infeasible):
+                    ct_exact(one, kind, 3)
+            with pytest.raises(Infeasible):
+                characterize_ct(two)
+            with pytest.raises(Infeasible):
+                characterize_ct(one)
+
+
+def test_ct_exact_caps_its_contractions(monkeypatch):
+    # P10 solves in 17 nodes, value 4, and needs three contractions: its 9
+    # single and 36 double contractions all fail, so the scan passes 30
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "30")
+    with pytest.raises(ScaleLimit, match=r"^ct_exact exceeded 30 contractions$"):
+        ct_exact(path_graph(10), SDS, 3)
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "60")
+    k, cert = ct_exact(path_graph(10), SDS, 3)
+    assert k == 3 and (cert.value_before, cert.value_after) == (4, 3)
+
+
 def test_floor_graphs_are_irreducible():
     # value two cannot drop: a lone member has no partner within distance 2
     for g in (complete_graph(3), star_graph(5), path_graph(4)):
@@ -214,8 +257,8 @@ def test_floor_graphs_are_irreducible():
 
 def test_friendly_triple_hand_cases():
     c6 = cycle_graph(6)
-    assert has_friendly_triple(c6, {0, 1, 3}) == (0, 1, 3)
-    assert has_friendly_triple(c6, {0, 2, 4}) is None
+    assert _carried(c6, {0, 1, 3}, ("friendly-triple",)) == ("friendly-triple", (0, 1, 3))
+    assert _carried(c6, {0, 2, 4}, ("friendly-triple",)) is None
     hit = min_sds_has_friendly_triple(c6)
     assert hit is not None
     d, (x, y, z) = hit
@@ -234,17 +277,17 @@ def test_friendly_triple_iff_one_contraction():
 
 def test_match_st_configuration_hand_case():
     c6 = cycle_graph(6)
-    m = match_st_configuration(c6, {0, 1, 2, 3})
+    m = _config_in(c6, {0, 1, 2, 3})
     assert m is not None and m.config is STConfigId.O6
     assert m.assignment == {"a": 0, "b": 1, "c": 3, "d": 2}
     assert m.thick_edges == ((0, 1), (1, 2))
-    assert match_st_configuration(c6, {0, 2, 4}) is None
+    assert _config_in(c6, {0, 2, 4}) is None
 
 
 def test_o3_roles_c_and_f_may_share_a_vertex():
     # edges 05 14 23 35 45: ab and de are the thick edges, and 0 is two steps
     # from both b = 4 and e = 3, so it fills roles c and f at once
-    m = match_st_configuration(from_graph6("E@QW"), {0, 1, 2, 3, 4})
+    m = _config_in(from_graph6("E@QW"), {0, 1, 2, 3, 4})
     assert m is not None and m.config is STConfigId.O3
     assert m.assignment == {"a": 1, "b": 4, "c": 0, "d": 2, "e": 3, "f": 0}
     assert m.thick_edges == ((1, 4), (2, 3))
@@ -298,6 +341,12 @@ def test_path_contraction_certificate_properties():
         assert 1 <= len(cert.edges) <= 3
         h, _ = contract_edges(g, cert.edges)
         assert solve(h, SDS).value == cert.value_after < cert.value_before
+
+
+def test_path_certificate_refuses_the_floor():
+    assert solve(path_graph(4), SDS).value == 2
+    with pytest.raises(FloorError):
+        path_contraction_certificate(path_graph(4))
 
 
 def test_characterize_ct_frozen_mechanisms():
@@ -418,7 +467,7 @@ def test_configuration_matches_frozen():
     digest = hashlib.sha256()
     for g in iter_connected_graphs(6, min_n=2):
         for s in feasible_sets(g, SDS, solve(g, SDS).value + 1):
-            m = match_st_configuration(g, s)
+            m = _config_in(g, s)
             digest.update(json.dumps([
                 to_graph6(g),
                 list(s),

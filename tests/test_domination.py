@@ -25,7 +25,6 @@ from semitotal import (
     solve,
     solve_by_enumeration,
     star_graph,
-    witnesses_of,
 )
 from semitotal import domination
 from semitotal.domination import DEFAULT_BUDGET, search_budget
@@ -214,13 +213,30 @@ def test_enumerate_min_sets_scale_guard(monkeypatch):
         enumerate_min_sets(cycle_graph(12), SDS)
 
 
-def test_witnesses_hand_cases():
-    c6 = cycle_graph(6)
-    d = {0, 1, 3}
-    assert witnesses_of(c6, d, 0) == frozenset({1})
-    assert witnesses_of(c6, d, 1) == frozenset({0, 3})
+def test_is_feasible_guards():
     with pytest.raises(NotInSet):
-        witnesses_of(c6, d, 2)
+        is_feasible(cycle_graph(6), SDS, {0, 6})
+    with pytest.raises(NotInSet):
+        is_feasible(cycle_graph(6), DOM, {-1})
+    one = Graph(1, (0,))
+    assert is_feasible(one, DOM, {0})
+    for kind in (TOT, SDS):
+        with pytest.raises(Infeasible):
+            is_feasible(one, kind, {0})
+
+
+def test_exists_within_zero_builds_no_search(monkeypatch):
+    # k <= 0 is answered after the input gate and before any search set-up
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search was built for k = 0")
+
+    monkeypatch.setattr(domination, "_Search", no_search)
+    for kind in KINDS:
+        for g in (path_graph(2), cycle_graph(6)):
+            assert exists_within(g, kind, 0) is False
+            assert exists_within(g, kind, -1) is False
+        with pytest.raises(Infeasible):
+            exists_within(disjoint_union([path_graph(2), path_graph(2)]), kind, 0)
 
 
 def test_min_sds_spans_edge():

@@ -35,7 +35,7 @@ from semitotal import (
     to_graph6,
 )
 from semitotal.errors import GenerationFailed, InvalidEdge, ParseError
-from semitotal.graphs import _pattern_plan, contract_rows, distance, embed, normalize_edge
+from semitotal.graphs import _bfs_dist, _pattern_plan, contract_rows, embed, normalize_edge
 
 import oracles
 from conftest import connected_graphs_st
@@ -66,11 +66,11 @@ def test_normalize_edge():
 
 def test_distance_and_connectivity():
     p4 = path_graph(4)
-    assert distance(p4, 0, 3) == 3
+    assert _bfs_dist(p4.rows, p4.n, 0)[3] == 3
     assert is_connected(p4)
     two = disjoint_union([path_graph(2), path_graph(3)])
     assert not is_connected(two)
-    assert distance(two, 0, 2) == math.inf
+    assert _bfs_dist(two.rows, two.n, 0)[2] == math.inf
     assert components(two) == [frozenset({0, 1}), frozenset({2, 3, 4})]
 
 

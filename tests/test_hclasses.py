@@ -1,13 +1,16 @@
+import contextlib
 import random
 from itertools import combinations
 
 import pytest
 
+from semitotal import hclasses
 from semitotal import (
     DominationKind,
     HVerdict,
     classify_h,
     complete_graph,
+    ct_exact,
     contains_induced,
     cycle_graph,
     disjoint_union,
@@ -20,8 +23,10 @@ from semitotal import (
     path_graph,
     poly_dispatch,
     sds_size_threshold,
+    solve,
     star_graph,
 )
+from semitotal.domination import solved_once
 from semitotal.errors import Infeasible, InvalidEdge, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
 from semitotal.hclasses import ABCPartition, abc_partition, find_A, regular_vertices
@@ -29,6 +34,7 @@ from semitotal.hclasses import ABCPartition, abc_partition, find_A, regular_vert
 import oracles
 
 DOM = DominationKind.DOMINATION
+SDS = DominationKind.SEMITOTAL
 
 # pattern text -> (verdict value, reason tag, t, p)
 CLASSIFY_FIXTURES = [
@@ -211,6 +217,55 @@ def test_p3kp2_decider_rejects():
         ec1_gt2_p3kp2free(disjoint_union([path_graph(2), path_graph(2)]), 1)
     with pytest.raises(Infeasible):
         ec1_gt2_p3kp2free(complete_graph(1), 1)
+
+
+@pytest.mark.parametrize("scope", [solved_once, contextlib.nullcontext])
+def test_deciders_leave_the_value_gate_to_the_search(scope):
+    # a disconnected graph fails the deciders' own precondition; the
+    # one-vertex graph passes it and `exists_within` rejects it
+    two = disjoint_union([path_graph(2), path_graph(2)])
+    one = complete_graph(1)
+    with scope():
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated):
+                ec1_gt2_p5free(two)
+            with pytest.raises(PreconditionViolated):
+                ec1_gt2_p3kp2free(two, 1)
+            with pytest.raises(Infeasible):
+                ec1_gt2_p5free(one)
+            with pytest.raises(Infeasible):
+                ec1_gt2_p3kp2free(one, 1)
+
+
+def _thin_spider(m):
+    """K_m with one pendant on each clique vertex: a split graph, so
+    P3+kP2-free for every k, of semitotal value m."""
+    return Graph.from_edges(
+        2 * m, [(i, j) for i, j in combinations(range(m), 2)] + [(i, m + i) for i in range(m)])
+
+
+@pytest.mark.parametrize("m", [27, 30])
+def test_p3kp2_decider_threshold_branch(monkeypatch, m):
+    # no far-layer vertex is regular (pendants lie at distance 3), and the
+    # value m is above sds_size_threshold(1, 3) = 26, so the decider answers
+    # from the bound without scanning the minimum sets
+    g = _thin_spider(m)
+    assert is_h_free(g, parse_pattern("P3+P2")) and solve(g, SDS).value == m
+    decisions = []
+    real = hclasses.exists_within
+
+    def spy(g, kind, k, **limits):
+        decisions.append((k, real(g, kind, k, **limits)))
+        return decisions[-1][1]
+
+    def no_scan(g):
+        raise AssertionError("the decider scanned the minimum sets")
+
+    monkeypatch.setattr(hclasses, "exists_within", spy)
+    monkeypatch.setattr(hclasses, "min_sds_has_friendly_triple", no_scan)
+    assert ec1_gt2_p3kp2free(g, 1)
+    assert decisions == [(2, False), (sds_size_threshold(1, 3), False)] == [(2, False), (26, False)]
+    assert ct_exact(g, SDS, 1) is not None
 
 
 def test_p3kp2_decider_matches_oracle():

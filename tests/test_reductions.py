@@ -48,7 +48,7 @@ MINIMAL_B3 = SatInstance(3, ((0, 1, 2), (0, 1, 2), (0, 1, 2)))
 
 
 def edge_labels(out):
-    names = out.label_of()
+    names = {v: label for label, v in out.labels.items()}
     return {frozenset((names[u], names[v])) for u, v in out.graph.edges()}
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from semitotal import SUITES, InvalidSetting, ScaleLimit, connected_graphs, run_suite
+from semitotal import SUITES, InvalidSetting, ScaleLimit, connected_graphs, parse_pattern, run_suite
 from semitotal import blocker, domination, verify
 
 EXPECTED_SUITES = [
@@ -109,6 +109,19 @@ def test_sat_suite_small():
     assert checks[0].detail == "57 graphs"
     # below order 6 no 2P3-free graph has value 3 or more
     assert _names(checks)[1:] == ["independence-equivalence-n6"]
+
+
+def test_order9_sample_refuses_to_run_short(monkeypatch):
+    # the sample is the first 2P3-free draws; when the draws run out before
+    # it is full it raises, as every suite does past its scale
+    monkeypatch.setattr(verify, "_SAMPLE_COUNT", 3)
+    sample = list(verify._sample_2p3free())
+    assert len(sample) == 3
+    assert all(g.n == 9 and verify.contains_induced(g, parse_pattern("2P3")) is None
+               for g in sample)
+    monkeypatch.setattr(verify, "contains_induced", lambda g, h: (0,))
+    with pytest.raises(ScaleLimit, match="1200 draws gave 0 2P3-free graphs"):
+        list(verify._sample_2p3free())
 
 
 def test_chordal_suite_small():
