@@ -56,8 +56,8 @@ from .blocker import (
     classify_ct_domination,
     classify_ct_total,
     ct_exact,
+    ct_is_one,
     exists_plus1_sds_with_config,
-    min_sds_has_friendly_triple,
     min_set_spans_edge,
     p4_forces_config,
     path_contraction_certificate,

@@ -9,7 +9,9 @@ the remainder (ct = 3).  Huang and Xu's classifications for plain and total
 domination have the same shape, so one table, `_MECHANISMS`, lists each
 kind's ct = 1 structures (sought on sets of size value) and ct = 2
 structures (on sets of size value + 1), and one scan, `_first_carrying`,
-serves `characterize_ct`, both classifiers and `min_set_spans_edge`.  Every
+serves `characterize_ct`, both classifiers, `min_set_spans_edge` and
+`ct_is_one`, which answers "does one contraction lower the value?" for the
+deciders of `hclasses` once their shortcuts are spent.  Every
 contraction claim is re-checked by one replay, `replay_contraction`.  Every
 value comes from `domination.solve`, except the value after a contraction
 that `ct_exact` finds: one contraction lowers the value by at most one, so
@@ -325,10 +327,13 @@ def _read_ct(g: Graph, kind: DominationKind):
     return value, 3, None
 
 
-def min_sds_has_friendly_triple(g: Graph) -> tuple[frozenset[int], tuple[int, int, int]] | None:
-    """First minimum semitotal dominating set carrying a friendly triple."""
-    found = _first_carrying(g, _SDS, solve(g, _SDS).value, _MECHANISMS[_SDS][0])
-    return None if found is None else (found[0], found[2])
+def ct_is_one(g: Graph, kind: DominationKind) -> bool:
+    """Whether one contraction lowers the parameter: the value is off the
+    floor and some minimum set carries the kind's ct = 1 structure, a
+    friendly triple, an edge (plain) or a P3 (total)."""
+    value = solve(g, kind).value
+    return value > _FLOOR[kind] and _first_carrying(
+        g, kind, value, _MECHANISMS[kind][0]) is not None
 
 
 def exists_plus1_sds_with_config(g: Graph) -> tuple[frozenset[int], ConfigMatch] | None:
@@ -366,10 +371,7 @@ def path_contraction_certificate(g: Graph) -> ContractionCertificate:
     at distance <= 2, then the member w closest to {u, v} (ties: smallest
     id) and contract a shortest path from w to the closer of u, v.
     """
-    return _path_certificate(g, solve(g, _SDS).value)
-
-
-def _path_certificate(g: Graph, value: int) -> ContractionCertificate:
+    value = solve(g, _SDS).value
     if value < 3:
         raise FloorError(f"needs value >= 3, got {value}")
     d = next(feasible_sets(g, _SDS, value))
@@ -417,12 +419,14 @@ class CtVerdict:
 def characterize_ct(g: Graph) -> CtVerdict:
     """Determine ct for semitotal domination together with its witness.
     The input goes through `solve`'s gate, the first call: Infeasible for a
-    disconnected graph or one on fewer than two vertices."""
+    disconnected graph or one on fewer than two vertices.  At ct = 3 the
+    certificate comes from `path_contraction_certificate`, whose solve of g
+    is the stored one inside a `solved_once` block."""
     value, k, found = _read_ct(g, _SDS)
     if k is None:
         return CtVerdict(value, CtMechanism.FLOOR)
     if k == 3:
-        cert = _path_certificate(g, value)
+        cert = path_contraction_certificate(g)
         return CtVerdict(value, CtMechanism.PATH_CONTRACTION, certificate=cert)
     s, key, hit = found
     if k == 1:

@@ -16,19 +16,7 @@ import sys
 import time
 from functools import lru_cache
 
-from .errors import (
-    FloorError,
-    GenerationFailed,
-    Infeasible,
-    InvalidEdge,
-    InvalidInstance,
-    InvalidSetting,
-    NotInSet,
-    ParseError,
-    PatternTooLarge,
-    PreconditionViolated,
-    ScaleLimit,
-)
+from .errors import InvalidSetting, ParseError, ScaleLimit, SemitotalError
 from .graphs import Graph, from_graph6, parse_edge_list, to_graph6
 from .patterns import parse_pattern
 from .domination import DominationKind, enumerate_min_sets, solve
@@ -56,19 +44,6 @@ _KINDS = {
     "total": DominationKind.TOTAL,
     "semitotal": DominationKind.SEMITOTAL,
 }
-
-_INPUT_ERRORS = (
-    ParseError,
-    InvalidInstance,
-    InvalidEdge,
-    Infeasible,
-    PreconditionViolated,
-    FloorError,
-    NotInSet,
-    PatternTooLarge,
-    GenerationFailed,
-)
-
 
 class UsageError(Exception):
     pass
@@ -331,12 +306,12 @@ def main(argv=None) -> int:
     except (UsageError, InvalidSetting) as exc:
         report["error"] = {"type": "usage", "message": str(exc)}
         code = 1
-    except _INPUT_ERRORS as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 2
     except ScaleLimit as exc:
         report["error"] = {"type": "ScaleLimit", "message": str(exc)}
         code = 4
+    except SemitotalError as exc:  # every other error of the package is the input's
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = 2
     except OSError as exc:
         report["error"] = {"type": "io", "message": str(exc)}
         code = 2

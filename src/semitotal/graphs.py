@@ -83,6 +83,7 @@ class Graph:
 
 
 def _bfs_dist(rows: tuple[int, ...], n: int, source: int) -> list[float]:
+    """Distances from source, the one distance route; math.inf if unreachable."""
     dist = [inf] * n
     frontier = 1 << source
     seen = frontier
@@ -97,11 +98,6 @@ def _bfs_dist(rows: tuple[int, ...], n: int, source: int) -> list[float]:
         seen |= frontier
         d += 1
     return dist
-
-
-def all_pairs_distances(g: Graph) -> list[list[float]]:
-    """Distance matrix; unreachable pairs are math.inf."""
-    return [_bfs_dist(g.rows, g.n, s) for s in range(g.n)]
 
 
 def _reach(rows, seen: int) -> int:

@@ -7,7 +7,8 @@ ec1_gt2_p5free for connected P5-free inputs, and ec1_gt2_p3kp2free for
 connected P3+kP2-free inputs, the latter built on distance layers around an
 induced P3+(k-1)P2 anchor.  poly_dispatch routes an (h-free graph, tractable
 pattern) pair to the decider that applies after stripping isolated pattern
-vertices.
+vertices.  Past their shortcuts, every route asks `blocker.ct_is_one`,
+whether a minimum set carries the kind's ct = 1 structure.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from itertools import combinations
 from .errors import PreconditionViolated
 from .graphs import (
     Graph,
+    _bfs_dist,
     _bits,
-    all_pairs_distances,
     components,
     contains_induced,
     disjoint_union,
@@ -29,13 +30,8 @@ from .graphs import (
     path_graph,
     vertex_mask,
 )
-from .domination import (
-    DominationKind,
-    check_subsets,
-    exists_within,
-    solve,
-)
-from .blocker import min_sds_has_friendly_triple, min_set_spans_edge
+from .domination import DominationKind, check_subsets, exists_within
+from .blocker import ct_is_one
 
 
 class HVerdict(Enum):
@@ -140,12 +136,12 @@ class ABCPartition:
     R: frozenset[int]
 
 
-def regular_vertices(g: Graph, part: ABCPartition, k: int) -> frozenset[int]:
+def regular_vertices(g: Graph, far, k: int) -> frozenset[int]:
     """Far-layer vertices in a group of k+1, pairwise at distance >= 4, all
     of whose neighbourhoods are cliques."""
     eligible = [
         v
-        for v in sorted(part.C)
+        for v in sorted(far)
         if all(
             g.has_edge(x, y)
             for x, y in combinations(sorted(_bits(g.rows[v])), 2)
@@ -154,7 +150,7 @@ def regular_vertices(g: Graph, part: ABCPartition, k: int) -> frozenset[int]:
     if len(eligible) < k + 1:
         return frozenset()
     check_subsets(len(eligible), k + 1)
-    dist = all_pairs_distances(g)
+    dist = {v: _bfs_dist(g.rows, g.n, v) for v in eligible}
     regular: set[int] = set()
     for group in combinations(eligible, k + 1):
         if all(dist[x][y] >= 4 for x, y in combinations(group, 2)):
@@ -182,13 +178,13 @@ def abc_partition(g: Graph, anchor, k: int) -> ABCPartition:
         raise PreconditionViolated("anchor does not reach every vertex in two steps")
     if any(g.rows[v] & cmask for v in _bits(cmask)):
         raise PreconditionViolated("far layer is not independent")
-    part = ABCPartition(
+    far = frozenset(_bits(cmask))
+    return ABCPartition(
         frozenset(_bits(amask)),
         frozenset(_bits(bmask)),
-        frozenset(_bits(cmask)),
-        frozenset(),
+        far,
+        regular_vertices(g, far, k),
     )
-    return ABCPartition(part.A, part.B, part.C, regular_vertices(g, part, k))
 
 
 def sds_size_threshold(k: int, a: int) -> int:
@@ -202,9 +198,9 @@ def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
     graph.
 
     A regular far-layer vertex forces the semitotal and plain domination
-    questions to coincide; otherwise a value above sds_size_threshold
-    already guarantees a yes, and below it the minimum sets are few enough
-    to scan directly for a friendly triple.
+    questions to coincide, and `ct_is_one` answers the plain one; otherwise
+    a value above sds_size_threshold already guarantees a yes, and below it
+    the minimum sets are few enough to scan directly for a friendly triple.
     """
     if k < 1:
         raise PreconditionViolated("k must be at least 1")
@@ -220,25 +216,12 @@ def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
     while anchor is None:
         k -= 1
         anchor = find_A(g, k)
-    part = abc_partition(g, anchor, k)
-    if part.R:
-        return min_set_spans_edge(g, DominationKind.DOMINATION)
+    if abc_partition(g, anchor, k).R:
+        return ct_is_one(g, DominationKind.DOMINATION)
     bound = sds_size_threshold(k, len(anchor))
     if not exists_within(g, DominationKind.SEMITOTAL, bound):
         return True
-    return min_sds_has_friendly_triple(g) is not None
-
-
-def _decide_bounded(g: Graph, q: int) -> bool:
-    """Exact answer once the semitotal value is known to be at most q."""
-    result = solve(g, DominationKind.SEMITOTAL)
-    if result.value > q:
-        raise PreconditionViolated(
-            f"semitotal value {result.value} exceeds the containment bound {q}"
-        )
-    if result.value == 2:
-        return False
-    return min_sds_has_friendly_triple(g) is not None
+    return ct_is_one(g, DominationKind.SEMITOTAL)
 
 
 def poly_dispatch(g: Graph, h: Graph) -> bool:
@@ -248,8 +231,8 @@ def poly_dispatch(g: Graph, h: Graph) -> bool:
     Isolated pattern vertices are stripped one at a time: either g avoids
     the trimmed pattern too and recursion continues, or g holds a copy
     whose vertex set must dominate g, capping the semitotal value at twice
-    the copy's order and reducing the question to a bounded search.  Bare
-    path patterns delegate to the matching decider.
+    the copy's order, so the minimum sets `ct_is_one` scans stay small.
+    Bare path patterns delegate to the matching decider.
     """
     tag = classify_h(h)
     if tag.verdict is not HVerdict.POLYNOMIAL:
@@ -264,7 +247,10 @@ def poly_dispatch(g: Graph, h: Graph) -> bool:
         trimmed, _ = induced_subgraph(h, kept)
         if is_h_free(g, trimmed):
             return poly_dispatch(g, trimmed)
-        return _decide_bounded(g, 2 * trimmed.n)
+        # g holds an induced copy X of the trimmed pattern.  A vertex outside
+        # N[X] would complete an induced h, so X dominates g and the value is
+        # at most 2|X|: the scan of the minimum sets stays bounded.
+        return ct_is_one(g, DominationKind.SEMITOTAL)
     sizes = sorted((len(c) for c in components(h)), reverse=True)
     if sizes[0] >= 4:
         return ec1_gt2_p5free(g)

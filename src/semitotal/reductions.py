@@ -91,6 +91,8 @@ def parse_sat(text: str) -> SatInstance:
         vals = [int(p) for p in parts]
         if any(not 1 <= v <= nv for v in vals):
             raise ParseError(f"clause {ln!r} out of 1..{nv}")
+        if len(set(vals)) != 3:
+            raise ParseError(f"clause {ln!r} repeats a variable")
         clauses.append(tuple(v - 1 for v in vals))
     try:
         inst = SatInstance(nv, tuple(clauses))
@@ -99,13 +101,6 @@ def parse_sat(text: str) -> SatInstance:
     if len(head) == 5 and not inst.exactly_3_bounded:
         raise ParseError("header declares b3 but occurrences are not all 3")
     return inst
-
-
-def format_sat(inst: SatInstance) -> str:
-    flag = " b3" if inst.exactly_3_bounded else ""
-    lines = [f"p 1in3 {inst.num_vars} {len(inst.clauses)}{flag}"]
-    lines.extend(" ".join(str(v + 1) for v in cl) for cl in inst.clauses)
-    return "\n".join(lines) + "\n"
 
 
 # brute_1in3 tries up to 2^n assignments; past this it raises ScaleLimit.

@@ -23,6 +23,7 @@ from semitotal import (
     contains_subgraph,
     contract_edges,
     ct_exact,
+    ct_is_one,
     cycle_graph,
     disjoint_union,
     exists_plus1_sds_with_config,
@@ -30,7 +31,6 @@ from semitotal import (
     from_graph6,
     is_feasible,
     iter_connected_graphs,
-    min_sds_has_friendly_triple,
     p4_forces_config,
     parse_pattern,
     path_graph,
@@ -259,9 +259,8 @@ def test_friendly_triple_hand_cases():
     c6 = cycle_graph(6)
     assert _carried(c6, {0, 1, 3}, ("friendly-triple",)) == ("friendly-triple", (0, 1, 3))
     assert _carried(c6, {0, 2, 4}, ("friendly-triple",)) is None
-    hit = min_sds_has_friendly_triple(c6)
-    assert hit is not None
-    d, (x, y, z) = hit
+    assert ct_is_one(c6, SDS)
+    d, _, (x, y, z) = blocker._first_carrying(c6, SDS, 3, ("friendly-triple",))
     assert {x, y, z} <= set(d) and is_feasible(c6, SDS, d)
     assert c6.has_edge(x, y)
 
@@ -272,7 +271,15 @@ def test_friendly_triple_iff_one_contraction():
         if solve(g, SDS).value < 3:
             continue
         want = oracles.brute_ct(*oracles.edge_data(g), "semitotal", 1) == 1
-        assert (min_sds_has_friendly_triple(g) is not None) == want
+        assert ct_is_one(g, SDS) == want
+
+
+def test_ct_is_one_matches_the_oracle_for_plain_and_total():
+    # floors included: value 1 (plain) or 2 (total) answers False
+    for g in iter_connected_graphs(6, min_n=2):
+        n, edges = oracles.edge_data(g)
+        for kind in (DOM, TOT):
+            assert ct_is_one(g, kind) == (oracles.brute_ct(n, edges, kind.value, 1) == 1)
 
 
 def test_match_st_configuration_hand_case():
@@ -347,6 +354,14 @@ def test_path_certificate_refuses_the_floor():
     assert solve(path_graph(4), SDS).value == 2
     with pytest.raises(FloorError):
         path_contraction_certificate(path_graph(4))
+
+
+def test_a_verdict_without_its_evidence_fails_validation():
+    for code, evidence in (("EhEG", "triple"), ("F?LS_", "match")):
+        g = from_graph6(code)
+        verdict = characterize_ct(g)
+        assert validate_ct_verdict(g, verdict)
+        assert not validate_ct_verdict(g, replace(verdict, **{evidence: None}))
 
 
 def test_characterize_ct_frozen_mechanisms():

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semitotal import DominationKind, from_graph6, solve
+from semitotal import cli
 from semitotal.cli import main
-from semitotal.reductions import CheckResult
+from semitotal.errors import InvalidSetting, ScaleLimit, SemitotalError
 
 import oracles
 
@@ -119,13 +120,34 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_failure_maps_to_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "semitotal.cli.run_suite",
-        lambda *a, **k: [CheckResult("broken", "fail", "boom")],
-    )
-    code, report = run_cli(capsys, "verify", "--suite", "thm34")
+    # the real thm32 sweep, with the contraction scan broken to find nothing
+    monkeypatch.setattr("semitotal.verify.ct_exact", lambda *args: None)
+    code, report = run_cli(capsys, "verify", "--suite", "thm32", "--max-n", "6")
     assert code == 3
-    assert report["results"]["checks"][0]["status"] == "fail"
+    checks = {c["name"]: c for c in report["results"]["checks"]}
+    assert checks["certificate-drops-n6"]["status"] == "pass"
+    failed = checks["ct-at-most-3-n6"]
+    assert failed["status"] == "fail"
+    examined = checks["certificate-drops-n6"]["detail"].split()[0]
+    head, codes = failed["detail"].split(" failed, e.g. ")
+    assert head == f"{examined}/{examined}"
+    assert 1 <= len(codes.split()) <= 5
+
+
+def test_ct3_blocker_and_characterize(capsys):
+    # the ct = 3 graph of order 11; no graph up to order 9 has ct = 3
+    code, report = run_cli(capsys, "blocker", "--graph6", "JCGSE__Q?G?")
+    assert code == 0
+    res = report["results"]
+    assert res["ct"] == 3 and len(res["certificate"]["edges"]) == 3
+    assert "certificate_check" not in res
+    code, report = run_cli(
+        capsys, "characterize", "--graph6", "JCGSE__Q?G?", "--check-certificate")
+    assert code == 0
+    res = report["results"]
+    assert (res["ct"], res["mechanism"]) == (3, "path-contraction")
+    assert res["certificate"]["value_before"] == res["gamma_t2"] == 4
+    assert res["certificate_check"] == "ok"
 
 
 def test_reduce_tree_counts(capsys):
@@ -181,6 +203,7 @@ def test_usage_errors(capsys):
         ["solve", "--graph6", C6, "--file", "x"],
         ["reduce", "--graph6", "A_", "--target", "chordal"],
         ["reduce", "--graph6", "A_", "--target", "clawfree"],
+        ["reduce", "--target", "2p3free"],
         # flags a target does not read are refused, not ignored
         ["reduce", "--target", "tree", "--graph6", "CF", "--ell", "5"],
         ["reduce", "--target", "2p3free", "--sat", "F", "--graph6", "CF", "--ell", "3"],
@@ -203,6 +226,23 @@ def test_malformed_input_exits_2(capsys):
     code, report = run_cli(capsys, "solve", "--file", "/no/such/file")
     assert code == 2
     assert report["error"]["type"] == "io"
+
+
+def test_each_package_error_has_its_exit_code(capsys, monkeypatch):
+    # the error's class alone picks the code: settings are usage errors,
+    # budgets are scale, and every other error of the package is the input's
+    codes = {InvalidSetting: 1, ScaleLimit: 4}
+    errors = SemitotalError.__subclasses__()
+    assert len(errors) == 11
+    for error in errors:
+        def command(args, error=error):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", command)
+        code, report = run_cli(capsys, "classify", "--pattern", "P3")
+        assert code == codes.get(error, 2)
+        want = "usage" if error is InvalidSetting else error.__name__
+        assert report["error"] == {"type": want, "message": "boom"}
 
 
 def test_scale_limit_exits_4(capsys):

@@ -121,6 +121,21 @@ def test_exists_within_consistent_with_solve():
         assert not exists_within(g, SDS, 0)
 
 
+@pytest.mark.parametrize("n, seed, kind, greedy, value", [
+    (13, 335, DOM, 5, 3),
+    (14, 311, TOT, 6, 4),
+])
+def test_plain_and_total_record_a_full_cover(n, seed, kind, greedy, value):
+    # a node whose cover is full reaches the plain/total record branch of
+    # `_Search.run` only two or more below the bound; one below, `_last`
+    # records it.  So greedy must overshoot the optimum by two.
+    g = random_connected(n, 0.2, seed)
+    search = domination._Search(g, kind, search_budget(), None, None)
+    search.greedy()
+    assert search.best == greedy >= value + 2
+    assert solve(g, kind).value == value == oracles.brute_value(*oracles.edge_data(g), kind.value)
+
+
 def test_solve_by_enumeration_agrees():
     for g in iter_connected_graphs(5, min_n=2):
         for kind in KINDS:

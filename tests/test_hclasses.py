@@ -29,7 +29,7 @@ from semitotal import (
 from semitotal.domination import solved_once
 from semitotal.errors import Infeasible, InvalidEdge, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
-from semitotal.hclasses import ABCPartition, abc_partition, find_A, regular_vertices
+from semitotal.hclasses import abc_partition, find_A, regular_vertices
 
 import oracles
 
@@ -168,11 +168,8 @@ def test_abc_partition_rejects_anchor_outside_graph(anchor):
 
 def test_regular_vertices_needs_enough_candidates():
     g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (2, 4), (3, 5), (4, 6)])
-    part = ABCPartition(
-        frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5, 6}), frozenset()
-    )
-    assert regular_vertices(g, part, 1) == frozenset({5, 6})
-    assert regular_vertices(g, part, 2) == frozenset()
+    assert regular_vertices(g, frozenset({5, 6}), 1) == frozenset({5, 6})
+    assert regular_vertices(g, frozenset({5, 6}), 2) == frozenset()
 
 
 def test_p5free_decider_fixtures():
@@ -258,11 +255,11 @@ def test_p3kp2_decider_threshold_branch(monkeypatch, m):
         decisions.append((k, real(g, kind, k, **limits)))
         return decisions[-1][1]
 
-    def no_scan(g):
+    def no_scan(g, kind):
         raise AssertionError("the decider scanned the minimum sets")
 
     monkeypatch.setattr(hclasses, "exists_within", spy)
-    monkeypatch.setattr(hclasses, "min_sds_has_friendly_triple", no_scan)
+    monkeypatch.setattr(hclasses, "ct_is_one", no_scan)
     assert ec1_gt2_p3kp2free(g, 1)
     assert decisions == [(2, False), (sds_size_threshold(1, 3), False)] == [(2, False), (26, False)]
     assert ct_exact(g, SDS, 1) is not None

@@ -26,7 +26,7 @@ from semitotal import (
 )
 from semitotal.errors import Infeasible, InvalidInstance, ParseError, ScaleLimit
 from semitotal.graphs import (
-    all_pairs_distances,
+    _bfs_dist,
     contains_induced,
     disjoint_union,
     is_chordal,
@@ -36,7 +36,6 @@ from semitotal import reductions
 from semitotal.reductions import (
     BRUTE_MAX_VARS,
     build_variable_gadget,
-    format_sat,
     identity_check,
 )
 
@@ -91,8 +90,7 @@ def test_tree_host_order_boundary(monkeypatch):
 def test_parse_format_round_trip():
     inst = parse_sat("p 1in3 4 2\n1 2 3\n2 3 4\n")
     assert inst.num_vars == 4 and inst.clauses == ((0, 1, 2), (1, 2, 3))
-    assert parse_sat(format_sat(inst)) == inst
-    assert format_sat(MINIMAL_B3).splitlines()[0] == "p 1in3 3 3 b3"
+    assert parse_sat("p 1in3 3 3 b3\n1 2 3\n3 1 2\n2 3 1\n") == MINIMAL_B3
 
 
 def test_parse_sat_rejects():
@@ -109,9 +107,18 @@ def test_parse_sat_rejects():
         "p 1in3 3 1\n\u0661 2 3",
         "p 1in3 \u0663 1\n1 2 3",
         "p 1in3 +3 1\n1 2 3",
+        "p 1in3 0 0",  # no variables: SatInstance's InvalidInstance, converted
+        "p 1in3 3 1\n1 1 2",
+        "p 1in3 3 1 b4\n1 2 3",
     ]:
         with pytest.raises(ParseError):
             parse_sat(bad)
+
+
+def test_parse_sat_names_a_repeated_variable_as_written():
+    # the clause is named 1-based, as in the file, not as (0, 0, 1)
+    with pytest.raises(ParseError, match="clause '1 1 2' repeats a variable"):
+        parse_sat("p 1in3 3 1\n1 1 2")
 
 
 def test_brute_1in3_matches_product_oracle():
@@ -331,7 +338,6 @@ def paw_lower_bound_holds(out):
     """
     g = out.graph
     paws, boundary = _gadget_paws(out)
-    dist = all_pairs_distances(g)
     for paw in paws:
         pset = set(paw)
         anchors = [
@@ -343,8 +349,9 @@ def paw_lower_bound_holds(out):
             return False
         for s in paw:
             covers_all = all(a == s or g.has_edge(a, s) for a in anchors)
+            dist = _bfs_dist(g.rows, g.n, s)
             ball_inside = all(
-                dist[s][u] > 2 for u in range(g.n) if u != s and u not in pset
+                dist[u] > 2 for u in range(g.n) if u != s and u not in pset
             )
             if covers_all and not ball_inside:
                 return False

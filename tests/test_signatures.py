@@ -56,3 +56,22 @@ def test_traced_names_are_package_functions():
         f"{module}.{attr}" for module, attr in _traced_names() if not _defined_in(module, attr)
     ]
     assert not missing
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export; every other module uses what it imports
+    unused = []
+    for path in sorted(Path(semitotal.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert not unused

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from semitotal import SUITES, InvalidSetting, ScaleLimit, connected_graphs, parse_pattern, run_suite
-from semitotal import blocker, domination, verify
+from semitotal import blocker, domination, to_graph6, verify
 
 EXPECTED_SUITES = [
     "appB",
@@ -73,6 +73,19 @@ def test_a_visit_solves_each_graph_once(monkeypatch):
     searches.clear()
     real_solve(g, domination.DominationKind.SEMITOTAL)
     assert searches == [g.rows]
+
+
+def test_a_failing_visit_names_at_most_five_graphs():
+    # a stem that examined no graph emits no check, and a failing one names
+    # its first five failures in sweep order
+    graphs = connected_graphs(5)
+    failing = [to_graph6(g) for g in graphs if g.m % 2]
+    checks = verify._sweep(graphs, "n5", ("even-size", "never"),
+                           lambda g: {"even-size": g.m % 2 == 0})
+    assert len(failing) > 5
+    assert [(c.name, c.status) for c in checks] == [("even-size-n5", "fail")]
+    assert checks[0].detail == (
+        f"{len(failing)}/{len(graphs)} failed, e.g. {' '.join(failing[:5])}")
 
 
 def test_mechanism_suite_small():
