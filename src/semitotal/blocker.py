@@ -94,6 +94,13 @@ def ct_exact(
     edge closes a cycle.  So its value is at least base - 1.
     `replay_contraction` re-solves the claim independently.
 
+    No total or semitotal scan reaches a one-vertex graph, which `solve`'s
+    gate would refuse.  A value above the floor of 2 needs n >= 5
+    (γt2 <= γt <= 2n/3 on a connected graph of order n >= 3), so one
+    vertex takes k >= 4 contractions, and since ct <= 3 for both kinds
+    (the paper for semitotal, Huang and Xu for total) the scan has
+    returned by then.
+
     The input goes through `solve`'s gate, the first call: Infeasible for a
     disconnected graph, or for total or semitotal domination on fewer than
     two vertices.
@@ -111,8 +118,6 @@ def ct_exact(
             if visited > cap:
                 raise ScaleLimit(f"ct_exact exceeded {cap} contractions")
             rows = _fold(g.rows, combo)[0]
-            if len(rows) < 2 and kind is not DominationKind.DOMINATION:
-                continue
             if rows in decided:
                 continue
             decided.add(rows)

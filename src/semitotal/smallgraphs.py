@@ -10,6 +10,13 @@ representative, and one of that representative's masks puts the new
 vertex in its place, a candidate the filter keeps (canonical deletion,
 McKay 1998, with f as the vertex invariant).  The filter only rejects and
 the canonical form is a complete invariant, so each class appears once.
+
+Masks that a twin swap of the parent maps onto each other give isomorphic
+candidates, so each parent tries one mask per twin orbit: the one that
+meets every twin class in its lowest vertices.  A skipped mask's candidate
+is the kept one's image under a permutation of twin classes that fixes
+the new vertex; the filter reads only degrees and connectivity, so it
+keeps both or neither, and the set of representatives is unchanged.
 Representatives are sorted by graph6 so enumeration order is reproducible.
 """
 
@@ -21,6 +28,24 @@ from .graphs import Graph, _bits, _reach, to_graph6
 
 # connected graphs up to isomorphism on 1..8 vertices
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+
+
+def _twins(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex, the mask of its twin class, itself included.
+
+    u and v are twins when N(u) - v = N(v) - u: true twins (adjacent, same
+    closed neighbourhood) or false twins (non-adjacent, same open one).  No
+    vertex v has both a true twin u and a false twin w: u is in N(v) = N(w),
+    so w is in N[u] = N[v], adjacent to v.  So the two groupings together
+    partition the vertices, and any permutation of one class is an
+    automorphism of the graph.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, r in enumerate(rows):
+        by_open[r] = by_open.get(r, 0) | 1 << v
+        by_closed[r | 1 << v] = by_closed.get(r | 1 << v, 0) | 1 << v
+    return tuple(by_open[r] | by_closed[r | 1 << v] for v, r in enumerate(rows))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -38,6 +63,7 @@ def canonical_form(g: Graph) -> Graph:
         return g
     best: list[int] = []  # the least code sequence found, and its labelling
     best_perm: list[int] = []
+    twins = _twins(rows)
     codes: list[int] = []
     perm: list[int] = []
 
@@ -57,11 +83,11 @@ def canonical_form(g: Graph) -> Graph:
                 return False
             tight = low == ref
         replaced = False
-        tried: list[int] = []
+        tried = 0
         for v, code in free.items():
-            if code != low or any(rows[u] & ~(1 << v) == rows[v] & ~(1 << u) for u in tried):
+            if code != low or twins[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             codes.append(low)
             perm.append(v)
             row = rows[v]
@@ -85,7 +111,11 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Returned canonically labelled and sorted by graph6 string, so indices
-    are stable across runs.
+    are stable across runs.  Each parent tries only the attachment masks
+    whose meet with every twin class of the parent is that class's lowest
+    vertices: one mask per orbit under twin swaps, which fix the new vertex
+    and so carry the canonical-deletion verdict and the isomorphism class
+    over to every other mask of the orbit.
     """
     if n < 1:
         return ()
@@ -94,7 +124,13 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     new, full = n - 1, (1 << n) - 1
     reps: set[Graph] = set()
     for g in connected_graphs(n - 1):
-        for mask in range(1, 1 << new):
+        masks = [0]
+        for cls in set(_twins(g.rows)):
+            prefixes = [0]
+            for v in _bits(cls):
+                prefixes.append(prefixes[-1] | 1 << v)
+            masks = [m | p for m in masks for p in prefixes]
+        for mask in masks[1:]:  # masks[0] is the empty mask
             rows = tuple(r | (mask >> v & 1) << new for v, r in enumerate(g.rows)) + (mask,)
             f = [(r.bit_count(), sum(rows[w].bit_count() for w in _bits(r))) for r in rows]
             if not any(

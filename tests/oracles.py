@@ -4,7 +4,7 @@ Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
 bitmask solvers under test; `relabel` and `complement` build a Graph
 only to feed inputs to the code under test, and `brute_canonical` returns
-one only so its answer compares with the labeller's.  There are two
+one only so its answer compares with the labeller's.  There are three
 exceptions, each a copy of an engine as it was before a change that must
 not alter its answers.  `ParentSearch` is the branch-and-bound walk before
 the last-member step and the reach packing: it reuses the search's set-up
@@ -12,7 +12,8 @@ and replaces only `run`, so that the tests can hold the new walk and bounds
 to the old ones, record by record.  `parent_embed` is the matcher before
 forward checking, which filtered only the current step's domain; it takes
 the same plans as `graphs.embed`, so the tests can hold the two to the
-same first match.
+same first match.  `parent_connected_graphs` is the enumeration before
+twin-orbit pruning, which tried every attachment mask of every parent.
 """
 
 from itertools import combinations, permutations
@@ -21,7 +22,8 @@ from time import monotonic
 from semitotal import Graph
 from semitotal.domination import _Found, _Search, search_budget
 from semitotal.errors import ScaleLimit
-from semitotal.graphs import _bits
+from semitotal.graphs import _bits, _reach, to_graph6
+from semitotal.smallgraphs import canonical_form, connected_graphs
 
 
 def edge_data(g):
@@ -341,3 +343,26 @@ def parent_embed(tables, checks, reuse, above, domains):
         return False
 
     return tuple(hosts) if extend(0, 0) else None
+
+
+def parent_connected_graphs(n):
+    """`connected_graphs(n)` trying all 2^(n-1) - 1 masks of each parent.
+    The parents are the package's order n - 1 list, so a test that holds
+    the two equal order by order, from order 2 up, checks each order from
+    parents the parent loop would have made."""
+    if n < 1:
+        return ()
+    if n == 1:
+        return (Graph(1, (0,)),)
+    new, full = n - 1, (1 << n) - 1
+    reps = set()
+    for g in connected_graphs(n - 1):
+        for mask in range(1, 1 << new):
+            rows = tuple(r | (mask >> v & 1) << new for v, r in enumerate(g.rows)) + (mask,)
+            f = [(r.bit_count(), sum(rows[w].bit_count() for w in _bits(r))) for r in rows]
+            if not any(
+                f[v] > f[new] and _reach([r & ~(1 << v) for r in rows], 1 << new) == full ^ 1 << v
+                for v in range(new)
+            ):
+                reps.add(canonical_form(Graph(n, rows)))
+    return tuple(sorted(reps, key=to_graph6))

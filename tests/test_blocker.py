@@ -217,6 +217,15 @@ def test_ct_exact_kmax_zero():
     assert ct_exact(cycle_graph(6), SDS, 0) is None
 
 
+def test_ct_exact_returns_before_a_contraction_reaches_one_vertex():
+    # ct <= 3, so a scan allowed every contraction down to one vertex
+    # stops where a scan capped at 3 does
+    for g in (path_graph(10), cycle_graph(10)):
+        for kind in DominationKind:
+            assert ct_exact(g, kind, g.n - 1) == ct_exact(g, kind, 3)
+        assert ct_exact(g, SDS, g.n - 1)[0] == 3
+
+
 @pytest.mark.parametrize("scope", [domination.solved_once, contextlib.nullcontext])
 def test_blocker_inputs_go_through_the_solve_gate(scope):
     # neither entry point checks its input itself: `solve`, its first call,

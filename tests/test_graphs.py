@@ -34,8 +34,15 @@ from semitotal import (
     star_graph,
     to_graph6,
 )
-from semitotal.errors import GenerationFailed, InvalidEdge, ParseError
-from semitotal.graphs import _bfs_dist, _pattern_plan, contract_rows, embed, normalize_edge
+from semitotal.errors import GenerationFailed, InvalidEdge, ParseError, PatternTooLarge
+from semitotal.graphs import (
+    MAX_PATTERN_ORDER,
+    _bfs_dist,
+    _pattern_plan,
+    contract_rows,
+    embed,
+    normalize_edge,
+)
 
 import oracles
 from conftest import connected_graphs_st
@@ -170,8 +177,10 @@ def test_random_connected_deterministic():
     b = random_connected(8, 0.4, 123)
     assert a == b and is_connected(a) and a.n == 8
     assert random_connected(8, 0.4, 124) != a
-    with pytest.raises(GenerationFailed):
+    with pytest.raises(GenerationFailed, match="edge probability"):
         random_connected(5, 0.0, 1)
+    with pytest.raises(GenerationFailed, match="after 1000 tries"):
+        random_connected(2, 1e-9, 1)
 
 
 def test_graph6_known_codes():
@@ -184,9 +193,24 @@ def test_graph6_known_codes():
 
 
 def test_graph6_rejects_malformed():
-    for bad in ["", "A", "C~~", "A!", "B" + chr(20)]:
-        with pytest.raises(ParseError):
+    # each input with the offset its error names
+    cases = {
+        "": 0,
+        "A": 1,  # body too short
+        "C~~": 2,  # body too long
+        "A!": 1,
+        "B" + chr(20): 1,
+        "~~??????": 0,  # order above 258047
+        "~??": 3,  # truncated size block
+        "A`": 1,  # the one edge bit, then a padding bit set
+    }
+    for bad, offset in cases.items():
+        with pytest.raises(ParseError) as err:
             from_graph6(bad)
+        assert err.value.offset == offset, bad
+    with pytest.raises(ParseError) as err:
+        to_graph6(Graph(258048, (0,) * 258048))
+    assert err.value.offset is None
 
 
 @settings(max_examples=120, deadline=None)
@@ -231,9 +255,31 @@ def test_edge_list_round_trip():
 
 
 def test_edge_list_rejects_malformed():
-    for bad in ["", "3", "3 1", "3 1\n0 0", "3 1\n0 5", "3 2\n0 1\n0 1", "x y\n"]:
-        with pytest.raises(ParseError):
+    # each input with the offset its error names: only the header has one
+    cases = {
+        "": 0,
+        "3": 0,
+        "x y\n": 0,
+        "3 1": None,
+        "3 1\n0 0": None,
+        "3 1\n0 5": None,
+        "3 2\n0 1\n0 1": None,
+        "3 1\n0 x": None,  # bad edge line
+        "3 1\n0 1 2": None,
+    }
+    for bad, offset in cases.items():
+        with pytest.raises(ParseError) as err:
             parse_edge_list(bad)
+        assert err.value.offset == offset, bad
+
+
+def test_patterns_above_the_order_limit_are_refused():
+    g = path_graph(20)
+    h = path_graph(MAX_PATTERN_ORDER + 1)
+    for matcher in (contains_induced, contains_subgraph):
+        with pytest.raises(PatternTooLarge):
+            matcher(g, h)
+    assert contains_induced(g, path_graph(MAX_PATTERN_ORDER)) is not None
 
 
 def test_contains_induced_hand_cases():

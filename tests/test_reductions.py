@@ -72,6 +72,13 @@ def test_sat_instance_validation():
         SatInstance(0, ())
 
 
+def test_builder_refuses_a_duplicate_label():
+    b = reductions._Builder()
+    assert b.vertex("x") == 0
+    with pytest.raises(InvalidInstance, match="duplicate label x"):
+        b.vertex("x")
+
+
 def test_tree_host_order_boundary(monkeypatch):
     # 11 * 372 = 4092 fits under MAX_HOST_ORDER = 4096; 11 * 373 = 4103 does not
     assert reductions.MAX_HOST_ORDER == 4096

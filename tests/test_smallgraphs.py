@@ -5,12 +5,12 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semitotal import Graph, connected_graphs, iter_connected_graphs, to_graph6
-from semitotal.graphs import complete_graph, is_connected, path_graph, star_graph
-from semitotal.smallgraphs import CONNECTED_COUNTS, canonical_form
+from semitotal import Graph, connected_graphs, iter_connected_graphs, smallgraphs, to_graph6
+from semitotal.graphs import complete_graph, cycle_graph, is_connected, path_graph, star_graph
+from semitotal.smallgraphs import CONNECTED_COUNTS, _twins, canonical_form
 
 from conftest import connected_graphs_st
-from oracles import brute_canonical, complement, relabel
+from oracles import brute_canonical, complement, parent_connected_graphs, relabel
 
 # sha256 over the graph6 codes of connected_graphs(1..8) in order, each
 # followed by a newline.  Computed with the enumeration that deduplicated
@@ -30,6 +30,57 @@ def test_enumeration_frozen():
     for g in iter_connected_graphs(8):
         digest.update(to_graph6(g).encode() + b"\n")
     assert digest.hexdigest() == ENUMERATION_DIGEST
+
+
+def test_enumeration_matches_the_parent_loop():
+    # same representatives, same labels, same order as trying every mask
+    for n in range(1, 8):
+        assert connected_graphs(n) == parent_connected_graphs(n), n
+
+
+def test_twin_orbits_cut_the_order_7_canonical_forms(monkeypatch):
+    for n in range(1, 7):
+        connected_graphs(n)
+    calls = []
+    real = smallgraphs.canonical_form
+    monkeypatch.setattr(smallgraphs, "canonical_form", lambda g: calls.append(g) or real(g))
+    got = connected_graphs.__wrapped__(7)  # leaves the cached orders alone
+    assert len(calls) == 1177  # every mask of every parent: 1480
+    assert got == connected_graphs(7)
+
+
+def _classes(g):
+    return sorted(set(_twins(g.rows)))
+
+
+def test_twins_hand_cases():
+    for n in range(1, 6):
+        assert _twins(complete_graph(n).rows) == ((1 << n) - 1,) * n
+    assert _classes(star_graph(5)) == [0b00001, 0b11110]
+    k23 = Graph.from_edges(5, [(i, j) for i in range(2) for j in range(2, 5)])
+    assert _classes(k23) == [0b00011, 0b11100]
+    assert _classes(cycle_graph(4)) == [0b0101, 0b1010]
+    assert _classes(path_graph(4)) == [0b0001, 0b0010, 0b0100, 0b1000]
+    # 0, 1 true twins (adjacent, same closed neighbourhood), 3, 4 false
+    # twins (non-adjacent, same open neighbourhood), 2 alone
+    mixed = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
+    assert _twins(mixed.rows) == (0b00011, 0b00011, 0b00100, 0b11000, 0b11000)
+
+
+def test_twins_match_the_definition_and_are_automorphisms():
+    for g in iter_connected_graphs(6):
+        for h in (g, complement(g)):
+            rows = h.rows
+            twins = _twins(rows)
+            for v in range(h.n):
+                want = sum(1 << u for u in range(h.n)
+                           if rows[u] & ~(1 << v) == rows[v] & ~(1 << u))
+                assert twins[v] == want
+                for u in range(v):
+                    if twins[v] >> u & 1:
+                        perm = list(range(h.n))
+                        perm[u], perm[v] = v, u
+                        assert relabel(h, perm) == h
 
 
 def test_all_listed_graphs_are_connected_and_canonical():
