@@ -10,6 +10,15 @@ representative, and one of that representative's masks puts the new
 vertex in its place, a candidate the filter keeps (canonical deletion,
 McKay 1998, with f as the vertex invariant).  The filter only rejects and
 the canonical form is a complete invariant, so each class appears once.
+The filter counts degrees once per candidate and sums neighbour degrees
+only for the new vertex and for the old vertices that tie its degree.
+
+The canonical form is the lex-min graph6 labelling, found by a
+depth-first search that places one vertex per level.  Its unplaced
+vertices are kept as cells of equal code sorted by code, an ordered
+partition refined by each placed vertex (McKay and Piperno 2014), so the
+least-coded vertices, the only ones a level branches on, are always the
+first cell.
 
 Masks that a twin swap of the parent maps onto each other give isomorphic
 candidates, so each parent tries one mask per twin orbit: the one that
@@ -53,10 +62,15 @@ def canonical_form(g: Graph) -> Graph:
 
     Column pos of the bitstring is the adjacency of the vertex placed at pos
     to those placed before it, kept for each unplaced vertex as one int,
-    first placed vertex in the highest bit.  Only the vertices whose code is
-    the level's minimum can start the least completion.  Of those, a twin of
-    one already tried is skipped: swapping two twins is an automorphism that
-    fixes the placed prefix, so its subtree gives the same codes.
+    first placed vertex in the highest bit.  The unplaced vertices are kept
+    as cells (mask, code) of equal code, sorted by code: placing v splits
+    each cell into its non-neighbours of v (code << 1) and then its
+    neighbours (code << 1 | 1), which keeps the order, so the first cell
+    holds the least-coded vertices, the only ones that can start the least
+    completion (an ordered partition, as in nauty: McKay and Piperno 2014).
+    They are tried in ascending id; a twin of one already tried is skipped:
+    swapping two twins is an automorphism that fixes the placed prefix, so
+    its subtree gives the same codes.
     """
     n, rows = g.n, g.rows
     if n <= 1:
@@ -64,40 +78,45 @@ def canonical_form(g: Graph) -> Graph:
     best: list[int] = []  # the least code sequence found, and its labelling
     best_perm: list[int] = []
     twins = _twins(rows)
-    codes: list[int] = []
-    perm: list[int] = []
+    offs = [~(r | 1 << v) for v, r in enumerate(rows)]  # v's non-neighbours, v excluded
+    codes = [0] * n  # the placed prefix, position by position
+    perm = [0] * n
 
     # tight: the codes so far equal best's prefix (False: strictly smaller,
     # or no best yet).  Returns True when best was replaced in the subtree,
     # which leaves the caller's prefix equal to the new best's.
-    def dfs(free: dict[int, int], tight: bool) -> bool:
-        if not free:
+    def dfs(cells: list[tuple[int, int]], pos: int, tight: bool) -> bool:
+        if not cells:
             if tight:
                 return False
             best[:], best_perm[:] = codes, perm
             return True
-        low = min(free.values())
+        first, low = cells[0]
         if tight:
-            ref = best[len(codes)]
+            ref = best[pos]
             if low > ref:
                 return False
             tight = low == ref
+        codes[pos] = low
         replaced = False
         tried = 0
-        for v, code in free.items():
-            if code != low or twins[v] & tried:
+        for v in _bits(first):
+            if twins[v] & tried:
                 continue
             tried |= 1 << v
-            codes.append(low)
-            perm.append(v)
-            row = rows[v]
-            if dfs({w: c << 1 | row >> w & 1 for w, c in free.items() if w != v}, tight):
+            perm[pos] = v
+            row, off = rows[v], offs[v]
+            split = []
+            for mask, code in cells:
+                if part := mask & off:
+                    split.append((part, code << 1))
+                if part := mask & row:
+                    split.append((part, code << 1 | 1))
+            if dfs(split, pos + 1, tight):
                 tight = replaced = True
-            perm.pop()
-            codes.pop()
         return replaced
 
-    dfs(dict.fromkeys(range(n), 0), False)
+    dfs([((1 << n) - 1, 0)], 0, False)
     new = {old: i for i, old in enumerate(best_perm)}
     out = [0] * n
     for u, v in g.edges():
@@ -132,9 +151,11 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
             masks = [m | p for m in masks for p in prefixes]
         for mask in masks[1:]:  # masks[0] is the empty mask
             rows = tuple(r | (mask >> v & 1) << new for v, r in enumerate(g.rows)) + (mask,)
-            f = [(r.bit_count(), sum(rows[w].bit_count() for w in _bits(r))) for r in rows]
+            deg = [r.bit_count() for r in rows]
+            d, d_sum = deg[new], sum(deg[w] for w in _bits(mask))
             if not any(
-                f[v] > f[new] and _reach([r & ~(1 << v) for r in rows], 1 << new) == full ^ 1 << v
+                (deg[v] > d or deg[v] == d and sum(deg[w] for w in _bits(rows[v])) > d_sum)
+                and _reach([r & ~(1 << v) for r in rows], 1 << new) == full ^ 1 << v
                 for v in range(new)
             ):
                 reps.add(canonical_form(Graph(n, rows)))

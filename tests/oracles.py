@@ -4,7 +4,7 @@ Everything here is written against plain (order, edge list) data and
 rebuilds its own adjacency dicts, deliberately sharing no code with the
 bitmask solvers under test; `relabel` and `complement` build a Graph
 only to feed inputs to the code under test, and `brute_canonical` returns
-one only so its answer compares with the labeller's.  There are three
+one only so its answer compares with the labeller's.  There are four
 exceptions, each a copy of an engine as it was before a change that must
 not alter its answers.  `ParentSearch` is the branch-and-bound walk before
 the last-member step and the reach packing: it reuses the search's set-up
@@ -14,6 +14,9 @@ forward checking, which filtered only the current step's domain; it takes
 the same plans as `graphs.embed`, so the tests can hold the two to the
 same first match.  `parent_connected_graphs` is the enumeration before
 twin-orbit pruning, which tried every attachment mask of every parent.
+`parent_canonical_form` is the labeller before it kept the unplaced
+vertices as sorted cells of equal code: it rebuilds a {vertex: code} dict
+for every child and takes the least code with `min`.
 """
 
 from itertools import combinations, permutations
@@ -23,7 +26,7 @@ from semitotal import Graph
 from semitotal.domination import _Found, _Search, search_budget
 from semitotal.errors import ScaleLimit
 from semitotal.graphs import _bits, _reach, to_graph6
-from semitotal.smallgraphs import canonical_form, connected_graphs
+from semitotal.smallgraphs import _twins, canonical_form, connected_graphs
 
 
 def edge_data(g):
@@ -366,3 +369,61 @@ def parent_connected_graphs(n):
             ):
                 reps.add(canonical_form(Graph(n, rows)))
     return tuple(sorted(reps, key=to_graph6))
+
+
+def parent_canonical_form(g: Graph) -> Graph:
+    """Relabel g to minimise its graph6 bitstring over all permutations.
+
+    Column pos of the bitstring is the adjacency of the vertex placed at pos
+    to those placed before it, kept for each unplaced vertex as one int,
+    first placed vertex in the highest bit.  Only the vertices whose code is
+    the level's minimum can start the least completion.  Of those, a twin of
+    one already tried is skipped: swapping two twins is an automorphism that
+    fixes the placed prefix, so its subtree gives the same codes.
+    """
+    n, rows = g.n, g.rows
+    if n <= 1:
+        return g
+    best: list[int] = []  # the least code sequence found, and its labelling
+    best_perm: list[int] = []
+    twins = _twins(rows)
+    codes: list[int] = []
+    perm: list[int] = []
+
+    # tight: the codes so far equal best's prefix (False: strictly smaller,
+    # or no best yet).  Returns True when best was replaced in the subtree,
+    # which leaves the caller's prefix equal to the new best's.
+    def dfs(free: dict[int, int], tight: bool) -> bool:
+        if not free:
+            if tight:
+                return False
+            best[:], best_perm[:] = codes, perm
+            return True
+        low = min(free.values())
+        if tight:
+            ref = best[len(codes)]
+            if low > ref:
+                return False
+            tight = low == ref
+        replaced = False
+        tried = 0
+        for v, code in free.items():
+            if code != low or twins[v] & tried:
+                continue
+            tried |= 1 << v
+            codes.append(low)
+            perm.append(v)
+            row = rows[v]
+            if dfs({w: c << 1 | row >> w & 1 for w, c in free.items() if w != v}, tight):
+                tight = replaced = True
+            perm.pop()
+            codes.pop()
+        return replaced
+
+    dfs(dict.fromkeys(range(n), 0), False)
+    new = {old: i for i, old in enumerate(best_perm)}
+    out = [0] * n
+    for u, v in g.edges():
+        out[new[u]] |= 1 << new[v]
+        out[new[v]] |= 1 << new[u]
+    return Graph(n, tuple(out))

@@ -10,7 +10,9 @@ from semitotal.graphs import complete_graph, cycle_graph, is_connected, path_gra
 from semitotal.smallgraphs import CONNECTED_COUNTS, _twins, canonical_form
 
 from conftest import connected_graphs_st
-from oracles import brute_canonical, complement, parent_connected_graphs, relabel
+from oracles import (
+    brute_canonical, complement, parent_canonical_form, parent_connected_graphs, relabel,
+)
 
 # sha256 over the graph6 codes of connected_graphs(1..8) in order, each
 # followed by a newline.  Computed with the enumeration that deduplicated
@@ -162,3 +164,23 @@ def _graphs_st(draw, max_n=7):
 @given(_graphs_st())
 def test_canonical_form_matches_brute_force_on_random_graphs(g):
     assert canonical_form(g) == brute_canonical(g)
+
+
+def test_labeller_matches_the_parent_labeller():
+    # the cells change how the least codes are found, not the search tree,
+    # so the labelling is the dict-based labeller's on every input; random
+    # trees leave wide ties that the twin skip does not cut
+    rng = random.Random(20)
+    graphs = [_shuffled(g, rng) for g in iter_connected_graphs(7)]
+    for _ in range(200):
+        n = rng.randint(9, 12)
+        tree = Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        graphs.append(_shuffled(tree, rng))
+    for g in graphs:
+        assert canonical_form(g) == parent_canonical_form(g), to_graph6(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_st(max_n=10))
+def test_labeller_matches_the_parent_labeller_on_drawn_graphs(g):
+    assert canonical_form(g) == parent_canonical_form(g)

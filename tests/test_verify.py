@@ -124,6 +124,25 @@ def test_sat_suite_small():
     assert _names(checks)[1:] == ["independence-equivalence-n6"]
 
 
+def test_sat_suite_names_the_instance_whose_identity_fails(monkeypatch):
+    # the identity itself is tested in test_reductions; here one covering
+    # instance is made to fail so the check's failure line is read
+    instances = verify._covering_instances()
+    target = instances[17]
+
+    def identity_spy(out):
+        return verify.CheckResult(
+            "identity", "fail" if out.source_sat == target else "pass", "")
+
+    monkeypatch.setattr(verify, "identity_check", identity_spy)
+    checks = run_suite("appB", max_n=6)
+    assert checks[0].name == "encoding-identity"
+    assert checks[0].status == "fail"
+    assert checks[0].detail == (
+        f"1/57 failed, e.g. vars={target.num_vars},clauses={target.clauses}")
+    assert [c.status for c in checks[1:]] == ["pass"]
+
+
 def test_order9_sample_refuses_to_run_short(monkeypatch):
     # the sample is the first 2P3-free draws; when the draws run out before
     # it is full it raises, as every suite does past its scale
