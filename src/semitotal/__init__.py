@@ -59,7 +59,6 @@ from .blocker import (
     ct_is_one,
     exists_plus1_sds_with_config,
     min_set_spans_edge,
-    p4_forces_config,
     path_contraction_certificate,
     replay_contraction,
     validate_ct_verdict,

@@ -357,12 +357,12 @@ def min_set_spans_edge(g: Graph, kind: DominationKind) -> bool:
 # -- shortest-path fallback certificate ----------------------------------
 
 
-def _shortest_path(g: Graph, src: int, dst: int) -> list[int]:
-    """One shortest src-dst path, smallest-id tie-breaks."""
-    dist = _bfs_dist(g.rows, g.n, dst)
+def _shortest_path(g: Graph, src: int, dist: list[float]) -> list[int]:
+    """One shortest path from src to the source of the BFS distances dist,
+    smallest-id tie-breaks."""
     path = [src]
     cur = src
-    while cur != dst:
+    while dist[cur]:
         cur = min(w for w in _bits(g.rows[cur]) if dist[w] == dist[cur] - 1)
         path.append(cur)
     return path
@@ -385,8 +385,7 @@ def path_contraction_certificate(g: Graph) -> ContractionCertificate:
     du = _bfs_dist(g.rows, g.n, u)
     dv = _bfs_dist(g.rows, g.n, v)
     w = min((x for x in d if x not in pair), key=lambda x: (min(du[x], dv[x]), x))
-    target = u if du[w] <= dv[w] else v
-    path = _shortest_path(g, w, target)
+    path = _shortest_path(g, w, du if du[w] <= dv[w] else dv)
     edges = tuple(normalize_edge(a, b) for a, b in zip(path, path[1:]))
     contracted, vmap = contract_edges(g, edges)
     after = solve(contracted, _SDS).value
@@ -495,15 +494,3 @@ def classify_ct_domination(g: Graph) -> int:
 def classify_ct_total(g: Graph) -> int:
     """1, 2 or 3 contractions needed to lower total domination."""
     return _classify(g, DominationKind.TOTAL)
-
-
-def p4_forces_config(g: Graph, d) -> bool:
-    """Any semitotal dominating set with a P4 subgraph carries O4 or O6.
-
-    Vacuously true when d has no P4; otherwise checks the matcher finds one
-    of the two hub configurations inside d.
-    """
-    tables, mask = _tables(g), vertex_mask(g, d)
-    if _first_embedding(tables, ("P4",), mask) is None:
-        return True
-    return _first_embedding(tables, (STConfigId.O4, STConfigId.O6), mask) is not None

@@ -251,11 +251,8 @@ class _Search:
             dmask |= 1 << v
             cover |= ball[v]
         if self.semitotal:
-            for v in list(_bits(dmask)):
-                near = self.near[v] or self._near(v)
-                if not near & dmask:
-                    helper = near & ~dmask
-                    dmask |= helper & -helper
+            while near := self._lonely(dmask):
+                dmask |= near & -near
         self.best = dmask.bit_count()
         self.best_mask = dmask
 

@@ -484,22 +484,15 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ParseError(f"graph6 encoding supports at most {_G6_MAX} vertices")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(g.rows[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [
-        chr((bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-             | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5]) + 63)
-        for k in range(0, len(bits), 6)
-    ]
-    return head + "".join(chars)
+    # column j (the pairs ij, i < j) is row j's low j bits, lowest first
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(_G6_BYTES[bits[k:k + 6]] for k in range(0, len(bits), 6))
 
 
-# each graph6 byte as its six bits, high bit first
+# each graph6 byte as its six bits, high bit first, and back
 _G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_G6_BYTES = {bits: chr(byte) for byte, bits in _G6_BITS.items()}
 # any character outside the graph6 bytes ? (63) .. ~ (126)
 _G6_BAD = re.compile("[^?-~]")
 

@@ -139,18 +139,15 @@ class ABCPartition:
 def regular_vertices(g: Graph, far, k: int) -> frozenset[int]:
     """Far-layer vertices in a group of k+1, pairwise at distance >= 4, all
     of whose neighbourhoods are cliques."""
+    rows = g.rows
+    # N(v) is a clique when each neighbour x sees all of N(v) but itself
     eligible = [
-        v
-        for v in sorted(far)
-        if all(
-            g.has_edge(x, y)
-            for x, y in combinations(sorted(_bits(g.rows[v])), 2)
-        )
+        v for v in sorted(far) if all(rows[v] & ~rows[x] == 1 << x for x in _bits(rows[v]))
     ]
     if len(eligible) < k + 1:
         return frozenset()
     check_subsets(len(eligible), k + 1)
-    dist = {v: _bfs_dist(g.rows, g.n, v) for v in eligible}
+    dist = {v: _bfs_dist(rows, g.n, v) for v in eligible}
     regular: set[int] = set()
     for group in combinations(eligible, k + 1):
         if all(dist[x][y] >= 4 for x, y in combinations(group, 2)):
@@ -228,29 +225,28 @@ def poly_dispatch(g: Graph, h: Graph) -> bool:
     """Decide the one-contraction question for an h-free graph with h in a
     tractable family.
 
-    Isolated pattern vertices are stripped one at a time: either g avoids
-    the trimmed pattern too and recursion continues, or g holds a copy
-    whose vertex set must dominate g, capping the semitotal value at twice
-    the copy's order, so the minimum sets `ct_is_one` scans stay small.
-    Bare path patterns delegate to the matching decider.
+    The gates (a tractable h, an h-free g, a connected g) run once, on the
+    pattern as given.  Then isolated pattern vertices are stripped one at a
+    time: either g avoids the trimmed pattern too and stripping goes on, or
+    g holds a copy whose vertex set must dominate g, capping the semitotal
+    value at twice the copy's order, so the minimum sets `ct_is_one` scans
+    stay small.  A pattern left with no isolated vertex is a bare path
+    pattern, and goes to the matching decider.
     """
-    tag = classify_h(h)
-    if tag.verdict is not HVerdict.POLYNOMIAL:
+    if classify_h(h).verdict is not HVerdict.POLYNOMIAL:
         raise PreconditionViolated("pattern is outside the tractable families")
     if not is_h_free(g, h):
         raise PreconditionViolated("input graph is not h-free")
     if not is_connected(g):
         raise PreconditionViolated("expects a connected graph")
-    isolated = [v for v in range(h.n) if h.degree(v) == 0]
-    if isolated:
-        kept = [v for v in range(h.n) if v != isolated[-1]]
-        trimmed, _ = induced_subgraph(h, kept)
-        if is_h_free(g, trimmed):
-            return poly_dispatch(g, trimmed)
-        # g holds an induced copy X of the trimmed pattern.  A vertex outside
-        # N[X] would complete an induced h, so X dominates g and the value is
-        # at most 2|X|: the scan of the minimum sets stays bounded.
-        return ct_is_one(g, DominationKind.SEMITOTAL)
+    while isolated := [v for v in range(h.n) if h.degree(v) == 0]:
+        h, _ = induced_subgraph(h, [v for v in range(h.n) if v != isolated[-1]])
+        if not is_h_free(g, h):
+            # g holds an induced copy X of the trimmed pattern.  A vertex
+            # outside N[X] would complete an induced copy of the pattern
+            # before this strip, so X dominates g and the value is at most
+            # 2|X|: the scan of the minimum sets stays bounded.
+            return ct_is_one(g, DominationKind.SEMITOTAL)
     sizes = sorted((len(c) for c in components(h)), reverse=True)
     if sizes[0] >= 4:
         return ec1_gt2_p5free(g)

@@ -330,13 +330,6 @@ def reduce_clawfree(sat: SatInstance) -> ReductionOutput:
     return b.output("clawfree", meta, source_sat=sat)
 
 
-def build_variable_gadget() -> ReductionOutput:
-    """One isolated variable gadget (41 vertices) in clauses 0, 1 and 2."""
-    b = _Builder()
-    _variable_block(b, 0, (0, 1, 2))
-    return b.output("variable-gadget", {"per_gadget_lower_bound": 14})
-
-
 def satisfying_sds(out: ReductionOutput, assignment) -> frozenset[int]:
     """The semitotal dominating set of size 14|X| + |C| read off a 1-in-3
     satisfying assignment for a claw-free reduction output.

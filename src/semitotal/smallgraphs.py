@@ -117,12 +117,10 @@ def canonical_form(g: Graph) -> Graph:
         return replaced
 
     dfs([((1 << n) - 1, 0)], 0, False)
-    new = {old: i for i, old in enumerate(best_perm)}
-    out = [0] * n
-    for u, v in g.edges():
-        out[new[u]] |= 1 << new[v]
-        out[new[v]] |= 1 << new[u]
-    return Graph(n, tuple(out))
+    place = [0] * n  # per vertex, the bit of its new label
+    for i, v in enumerate(best_perm):
+        place[v] = 1 << i
+    return Graph(n, tuple(sum(place[w] for w in _bits(rows[v])) for v in best_perm))
 
 
 @lru_cache(maxsize=None)

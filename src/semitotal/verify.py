@@ -2,20 +2,22 @@
 
 Each suite replays one of the package's load-bearing facts against an
 independent route: brute-force contraction scans against the structural
-characterization, construction identities against direct solves, and the
-polynomial deciders against exhaustive oracles.  Suites return CheckResult
-lists so callers can render pass/fail/skipped uniformly.
+characterization, construction identities against direct solves, the
+polynomial deciders against exhaustive oracles, and the plain scan against
+the semitotal one where the two values agree.  Suites return CheckResult
+lists so callers can render pass/fail/skipped uniformly, and every check
+can fail.
 
-Every exhaustive suite is a per-graph visitor run by one sweep, `_sweep`.
-The visitor returns {check stem: passed} for the checks that examined the
-graph, and a stem that examined no graph emits no check, so no check
-passes on nothing; `run_suite` raises InvalidSetting when a run emits no
-check at all.  A visit asks for the same graph's value several times, in
-the suite itself, `ct_exact`, `characterize_ct`, the classifiers and the
-re-checks, so each visit runs in one `domination.solved_once` block and
-searches each (graph, kind) once; nothing is kept from one visit to the
-next, so memory does not grow with the sweep.  `_sweep` is the one place
-that opens such a block.  Suites raise ScaleLimit rather than silently
+Every exhaustive suite, `separation` included, is a per-graph visitor run
+by one sweep, `_sweep`.  The visitor returns {check stem: passed} for the
+checks that examined the graph, and a stem that examined no graph emits no
+check, so no check passes on nothing; `run_suite` raises InvalidSetting
+when a run emits no check at all.  A visit asks for the same graph's
+value several times, in the suite itself, `ct_exact`, `characterize_ct`,
+the classifiers and the re-checks, so each visit runs in one
+`domination.solved_once` block and searches each (graph, kind) once;
+nothing is kept from one visit to the next, so memory does not grow with
+the sweep.  `_sweep` is the one place that opens such a block.  Suites raise ScaleLimit rather than silently
 truncating when asked for more than the enumeration can sustain.  The
 only random input is appB's fixed order-9 sample of 2P3-free graphs,
 `_sample_2p3free`, and `_sweep` runs it like any other source.
@@ -332,24 +334,22 @@ def suite_p3kp2_decider(max_n: int = 7) -> list[CheckResult]:
 
 
 def suite_separation_scan(max_n: int = 6) -> list[CheckResult]:
-    """Emit graphs on which one contraction helps plain domination but not
-    the semitotal parameter, or vice versa.  Candidates only; the scan
-    never fails."""
-    differing: list[str] = []
-    examined = 0
-    for n in _orders(max_n, _MAX_EXHAUSTIVE):
-        for g in connected_graphs(n):
-            examined += 1
-            dom_yes = ct_exact(g, _DOM, 1) is not None
-            sds_yes = ct_exact(g, _SDS, 1) is not None
-            if dom_yes != sds_yes:
-                differing.append(to_graph6(g))
-    if not examined:
-        return []
-    detail = f"{len(differing)}/{examined} differ"
-    if differing:
-        detail += f", e.g. {' '.join(differing[:5])}"
-    return [CheckResult("candidates-emitted", "pass", detail)]
+    """Where the semitotal and plain values agree, a contraction that lowers
+    the semitotal value also lowers the plain one.
+
+    Every semitotal dominating set dominates, so γ <= γt2 on every graph.
+    If γ(G) = γt2(G) and γt2(G/e) < γt2(G), then
+    γ(G/e) <= γt2(G/e) < γt2(G) = γ(G).  The suite checks that implication
+    on every graph whose two values agree, and examines no other graph.
+    """
+
+    def visit(g):
+        if solve(g, _DOM).value != solve(g, _SDS).value:
+            return {}
+        return {"equal-values-drop-together":
+                ct_exact(g, _SDS, 1) is None or ct_exact(g, _DOM, 1) is not None}
+
+    return _per_order(max_n, _MAX_EXHAUSTIVE, ("equal-values-drop-together",), visit)
 
 
 SUITES = {

@@ -26,7 +26,6 @@ from semitotal import (
     is_feasible,
     is_h_free,
     iter_connected_graphs,
-    p4_forces_config,
     parse_pattern,
     random_connected,
     reduce_clawfree,
@@ -34,9 +33,8 @@ from semitotal import (
     satisfying_sds,
     solve,
 )
-from semitotal.reductions import build_variable_gadget
-
-from test_reductions import paw_lower_bound_holds
+from test_blocker import p4_forces_config
+from test_reductions import build_variable_gadget, paw_lower_bound_holds
 
 SDS = DominationKind.SEMITOTAL
 

@@ -31,7 +31,6 @@ from semitotal import (
     from_graph6,
     is_feasible,
     iter_connected_graphs,
-    p4_forces_config,
     parse_pattern,
     path_graph,
     path_contraction_certificate,
@@ -55,6 +54,17 @@ SDS = DominationKind.SEMITOTAL
 def _carried(g, s, structures):
     """The first of the structures realised inside s, as the scan finds it."""
     return blocker._first_embedding(blocker._tables(g), structures, vertex_mask(g, s))
+
+
+def p4_forces_config(g, d) -> bool:
+    """Any semitotal dominating set with a P4 subgraph carries O4 or O6.
+
+    Vacuously true when d has no P4; otherwise checks the matcher finds one
+    of the two hub configurations inside d.
+    """
+    if _carried(g, d, ("P4",)) is None:
+        return True
+    return _carried(g, d, (STConfigId.O4, STConfigId.O6)) is not None
 
 
 def _config_in(g, s):

@@ -1,6 +1,7 @@
 import contextlib
+import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -10,6 +11,7 @@ from semitotal import (
     HVerdict,
     classify_h,
     complete_graph,
+    connected_graphs,
     ct_exact,
     contains_induced,
     cycle_graph,
@@ -22,13 +24,16 @@ from semitotal import (
     parse_pattern,
     path_graph,
     poly_dispatch,
+    random_connected,
     sds_size_threshold,
     solve,
     star_graph,
+    to_graph6,
 )
 from semitotal.domination import solved_once
 from semitotal.errors import Infeasible, InvalidEdge, PreconditionViolated, ScaleLimit
 from semitotal.graphs import Graph
+from semitotal.smallgraphs import canonical_form
 from semitotal.hclasses import abc_partition, find_A, regular_vertices
 
 import oracles
@@ -172,6 +177,35 @@ def test_regular_vertices_needs_enough_candidates():
     assert regular_vertices(g, frozenset({5, 6}), 2) == frozenset()
 
 
+def _regular_reference(g, far, k):
+    """regular_vertices from its definition: the far vertices whose
+    neighbours are pairwise adjacent, in groups of k + 1 pairwise at
+    distance at least 4."""
+    adj = oracles.adjacency(*oracles.edge_data(g))
+    eligible = [
+        v for v in far if all(y in adj[x] for x, y in combinations(adj[v], 2))]
+    dist = {v: oracles.bfs_distances(adj, v) for v in eligible}
+    return frozenset(
+        v
+        for group in combinations(eligible, k + 1)
+        if all(dist[x].get(y, math.inf) >= 4 for x, y in combinations(group, 2))
+        for v in group
+    )
+
+
+def test_regular_vertices_match_their_definition():
+    rng = random.Random(43)
+    found = 0
+    for _ in range(300):
+        g = random_connected(rng.randint(4, 12), rng.choice([0.15, 0.3, 0.5]), rng.randrange(2**31))
+        far = frozenset(v for v in range(g.n) if rng.random() < 0.6)
+        for k in (1, 2):
+            expected = _regular_reference(g, far, k)
+            assert regular_vertices(g, far, k) == expected, (to_graph6(g), sorted(far), k)
+            found += bool(expected)
+    assert found > 50
+
+
 def test_p5free_decider_fixtures():
     net = parse_pattern("net")
     assert ec1_gt2_p5free(net)
@@ -299,6 +333,45 @@ def test_poly_dispatch_routes():
     assert not poly_dispatch(star_graph(3), parse_pattern("2P2"))
     # K3 holds an induced P2, which caps the value and forces the bounded route
     assert not poly_dispatch(complete_graph(3), parse_pattern("P2+K1"))
+
+
+def _tractable_patterns(max_order):
+    """Every graph on at most max_order vertices, as disjoint unions of
+    connected graphs, and the tractable ones among them."""
+    parts = [g for n in range(1, max_order + 1) for g in connected_graphs(n)]
+    every = {
+        canonical_form(disjoint_union(list(combo)))
+        for size in range(1, max_order + 1)
+        for combo in combinations_with_replacement(parts, size)
+        if sum(g.n for g in combo) <= max_order
+    }
+    tractable = [h for h in every if classify_h(h).verdict is HVerdict.POLYNOMIAL]
+    return every, sorted(tractable, key=to_graph6)
+
+
+def test_poly_dispatch_matches_the_oracle_on_every_small_pattern():
+    every, tractable = _tractable_patterns(5)
+    assert (len(every), len(tractable)) == (52, 18)
+    dispatches = 0
+    for g in iter_connected_graphs(7, min_n=2):
+        with solved_once():
+            one = ct_exact(g, SDS, 1) is not None
+            for h in tractable:
+                if is_h_free(g, h):
+                    assert poly_dispatch(g, h) == one, (to_graph6(g), to_graph6(h))
+                    dispatches += 1
+    assert dispatches == 7865
+
+
+def test_poly_dispatch_runs_each_gate_once(monkeypatch):
+    # one scan for the h-free gate, one per stripped isolated vertex and one
+    # in the P5 decider's own gate
+    scans = []
+    real = hclasses.contains_induced
+    monkeypatch.setattr(
+        hclasses, "contains_induced", lambda g, h: scans.append(h) or real(g, h))
+    assert not poly_dispatch(cycle_graph(5), parse_pattern("P5+2K1"))
+    assert len(scans) == 4
 
 
 def test_poly_dispatch_rejects():

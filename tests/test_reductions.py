@@ -35,7 +35,9 @@ from semitotal.graphs import (
 from semitotal import reductions
 from semitotal.reductions import (
     BRUTE_MAX_VARS,
-    build_variable_gadget,
+    ReductionOutput,
+    _Builder,
+    _variable_block,
     identity_check,
 )
 
@@ -53,6 +55,13 @@ def edge_labels(out):
 
 def pairs(*edges):
     return {frozenset(e) for e in edges}
+
+
+def build_variable_gadget() -> ReductionOutput:
+    """One isolated variable gadget (41 vertices) in clauses 0, 1 and 2."""
+    b = _Builder()
+    _variable_block(b, 0, (0, 1, 2))
+    return b.output("variable-gadget", {"per_gadget_lower_bound": 14})
 
 
 # -- SAT instances -------------------------------------------------------

@@ -75,3 +75,32 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
     assert not unused
+
+
+def test_every_private_top_level_name_is_used():
+    # a refactor that stops calling a helper leaves it behind; a private
+    # function, class or constant must be read by some other top-level
+    # statement of the package
+    defined, read_by = [], []
+    for path in sorted(Path(semitotal.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            private = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            defined += [(f"{path.stem}.{name}", name, stmt) for name in sorted(private)]
+            read_by.append((stmt, {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute)
+            }))
+    unused = [
+        where for where, name, home in defined
+        if not any(name in reads for stmt, reads in read_by if stmt is not home)
+    ]
+    assert not unused

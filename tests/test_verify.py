@@ -4,7 +4,11 @@ import json
 import pytest
 
 from semitotal import SUITES, InvalidSetting, ScaleLimit, connected_graphs, parse_pattern, run_suite
-from semitotal import blocker, domination, to_graph6, verify
+from semitotal import DominationKind, blocker, domination, to_graph6, verify
+
+import oracles
+
+DOM = DominationKind.DOMINATION
 
 EXPECTED_SUITES = [
     "appB",
@@ -183,13 +187,42 @@ def test_p3kp2_suite_small():
     assert _names(checks) == [f"decider-matches-oracle-n{n}" for n in range(2, 6)]
 
 
+# the graphs of order 2..6 whose plain and semitotal values agree
+SEPARATION_ROWS = [
+    ("equal-values-drop-together-n4", "pass", "2 graphs"),
+    ("equal-values-drop-together-n5", "pass", "10 graphs"),
+    ("equal-values-drop-together-n6", "pass", "75 graphs"),
+]
+
+
 def test_separation_suite_small():
-    checks = run_suite("separation", max_n=5)
-    assert len(checks) == 1
-    assert checks[0].status == "pass"
-    assert checks[0].detail.startswith("10/30 differ")
-    for code in ("CL", "C]"):
-        assert code in checks[0].detail
+    checks = run_suite("separation", max_n=6)
+    assert [(c.name, c.status, c.detail) for c in checks] == SEPARATION_ROWS
+    # the examined counts are those of the brute-force values
+    for n, (_, _, detail) in zip(range(4, 7), SEPARATION_ROWS):
+        agree = sum(
+            oracles.brute_value(*oracles.edge_data(g), "domination")
+            == oracles.brute_value(*oracles.edge_data(g), "semitotal")
+            for g in connected_graphs(n)
+        )
+        assert detail == f"{agree} graphs"
+
+
+def test_separation_suite_fails_when_plain_domination_never_drops(monkeypatch):
+    # with the plain scan answering "no contraction helps", every examined
+    # graph whose semitotal value one contraction lowers is a failure
+    real_ct_exact = verify.ct_exact
+
+    def ct_exact_spy(g, kind, kmax=3):
+        return None if kind is DOM else real_ct_exact(g, kind, kmax)
+
+    monkeypatch.setattr(verify, "ct_exact", ct_exact_spy)
+    checks = run_suite("separation", max_n=7)
+    assert [(c.name, c.status, c.detail) for c in checks] == SEPARATION_ROWS[:2] + [
+        ("equal-values-drop-together-n6", "fail", "2/75 failed, e.g. E@QW E@UW"),
+        ("equal-values-drop-together-n7", "fail",
+         "39/672 failed, e.g. F?CeW F?CmG F?CmW F?DdO F?DdW"),
+    ]
 
 
 def test_order_guards():
@@ -212,14 +245,14 @@ SUITE_ORDERS = (
 
 
 def test_suite_reports_frozen():
-    # pinned from the per-suite loops that preceded `_sweep`, with their
-    # vacuous "0 graphs" checks dropped and p3kp2's regular-vertex detail
-    # read as "N graphs"
-    rows = [
-        (c.name, c.status, c.detail)
+    # the eight suites other than separation pinned from the per-suite
+    # loops that preceded `_sweep`, with their vacuous "0 graphs" checks
+    # dropped and p3kp2's regular-vertex detail read as "N graphs"
+    rows = {
+        suite: [(c.name, c.status, c.detail) for c in run_suite(suite, max_n=n)]
         for suite, n in SUITE_ORDERS
-        for c in run_suite(suite, max_n=n)
-    ]
-    assert all(not detail.startswith("0 ") for _, _, detail in rows)
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "b40421a38a7e3da9bb40efd00c3953abc48da6f5b6745614526074fb14865fcb"
+    }
+    assert rows.pop("separation") == SEPARATION_ROWS
+    assert all(not detail.startswith("0 ") for suite in rows.values() for _, _, detail in suite)
+    digest = hashlib.sha256(json.dumps([row for suite in rows.values() for row in suite]).encode())
+    assert digest.hexdigest() == "5059ceda796b335ee66e11643885cfa5e938fba37610147a6cf846ab9257c3bc"
