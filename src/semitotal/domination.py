@@ -6,15 +6,18 @@ minimises (`solve`) and decides whether a set of at most k vertices exists
 (`exists_within`).  It keeps its cover in rank space, the vertices
 relabelled by (cover-ball size, id).  The packing takes the lowest
 uncovered vertex and drops every vertex whose ball meets its ball, one step
-per packed vertex, and stops as soon as it prunes; when it ends one short,
-a gain count prunes the node if the packed candidate sets' best covers add
-up to fewer than the uncovered vertices.  Branches take candidates in
-ascending original id, and each candidate's rank-space cover, each reach
-mask and each distance-2 ball are built on first use.  A node with room
-for one more member below the best size takes its last member from the
-intersection of its uncovered vertices' candidate sets, without a call per
-child, and a child with no room is not visited: the records, and so the
-witness, are those of the full walk.  Nodes are counted per visit and per
+per packed vertex, and stops as soon as it prunes.  When it ends one short,
+a completion below the best size takes exactly one member from each packed
+candidate set: the sets are filtered to a fixpoint by the uncovered
+vertices whose candidates meet only one of them, the node branches on the
+filtered first set, and a gain count prunes the node if the filtered sets'
+best covers add up to fewer than the uncovered vertices.  Branches take
+candidates in ascending original id, and each candidate's rank-space
+cover, each reach mask and each distance-2 ball are built on first use.
+A node with room for one more member below the best size takes its last
+member from the intersection of its uncovered vertices' candidate sets,
+without a call per child, and a child with no room is not visited: the
+records, and so the witness, are those of the full walk.  Nodes are counted per visit and per
 last-member step; the budget is checked at every count and the deadline
 read at the first and then every 256th.  The one lexicographic
 sweep, `feasible_sets`, lists the feasible sets of one size in
@@ -150,11 +153,20 @@ class _Search:
     reach mask, the ranks whose balls meet ball(v_r), from the rest: the
     packed vertices have disjoint balls, so each needs its own member, and
     the node prunes once they fill its room or one has no free candidate.
-    A packing one short of that leaves room for exactly one member from
-    each packed candidate set, so the node also prunes when those sets'
-    largest covers of the uncovered vertices add up to fewer than there
-    are.  Both prune only nodes that cannot record below `best`, so the
-    records are those of a walk without them.
+    A packing one short of that, p = limit - 1 sets with limit =
+    best - size, is used in full by `_one_short`.  A completion that
+    records adds at most limit - 1 = p members and needs one in each of
+    the p disjoint sets, so it takes exactly one member from each set and
+    nothing else.  So the member that covers an uncovered vertex x comes
+    from a set meeting x's candidates: if none does, the node prunes; if
+    one does, that set shrinks to x's candidates; this repeats until
+    nothing changes.  Then the node prunes when the filtered sets' largest
+    covers of the uncovered vertices add up to fewer than there are.  The
+    node branches on the filtered first set, and the candidates dropped
+    from it are banned before the loop: a completion with two members of
+    that set cannot record.  All of these remove only nodes and children
+    that cannot record below `best`, so the records are those of a walk
+    without them, and the walk visits a subset of its nodes.
 
     A node whose cover is not full is searched only while it has room for
     two or more members below the best size.  With room for one,
@@ -274,37 +286,27 @@ class _Search:
             reach = self.reach
             free = ~banned
             packed = []
+            heads = 0
             rest = uncovered
             while rest:
-                r = (rest & -rest).bit_length() - 1
+                low = rest & -rest
+                r = low.bit_length() - 1
                 b = ball_by_rank[r] & free
                 if not b:
                     return  # some vertex can no longer be dominated
                 packed.append(b)
                 if len(packed) >= limit:
                     return
+                heads |= low
                 rest &= ~(reach[r] or self._reach(r))
-            if len(packed) == limit - 1:
-                # one short: a completion below `best` takes one member from
-                # each packed candidate set, and they must cover every
-                # uncovered vertex
-                covers = self.covers
-                left = uncovered.bit_count()
-                for b in packed:
-                    gain = 0
-                    while b:
-                        low = b & -b
-                        c = low.bit_length() - 1
-                        g = ((covers[c] or self._covers(c)) & uncovered).bit_count()
-                        if g > gain:
-                            gain = g
-                        b ^= low
-                    left -= gain
-                    if left <= 0:
-                        break
-                else:
-                    return
             cands = packed[0]
+            if len(packed) == limit - 1:
+                if not self._one_short(packed, uncovered & ~heads, uncovered):
+                    return
+                # a completion with two members of the first set cannot
+                # record, so the members the filter dropped are banned here
+                banned |= cands ^ packed[0]
+                cands = packed[0]
         elif self.semitotal:
             near = self._lonely(dmask)
             if not near:
@@ -332,6 +334,57 @@ class _Search:
                 self._last(dmask | low, full & ~child, banned, size)
             banned |= low
             cands ^= low
+
+    def _one_short(self, packed: list, pending: int, uncovered: int) -> bool:
+        """Filter the packed candidate sets of a node one short, in place,
+        and say whether the node survives.  `pending` holds the uncovered
+        ranks other than the packed ones, whose sets are their own.  A rank
+        whose candidates meet no set prunes the node; one whose candidates
+        meet one set cuts that set to them, and is settled, since the set
+        stays inside its candidates.  Passes repeat until one changes
+        nothing; then the gain count runs on the filtered sets."""
+        ball_by_rank = self.ball_by_rank
+        union = 0
+        for b in packed:
+            union |= b
+        changed = True
+        while changed and pending:
+            changed = False
+            rest = pending
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cand = ball_by_rank[low.bit_length() - 1]
+                meet = cand & union
+                if not meet:
+                    return False
+                j = 0
+                for b in packed:
+                    if meet & b:
+                        break
+                    j += 1
+                if meet & ~b:
+                    continue  # two or more sets meet it
+                pending ^= low
+                if b & ~cand:
+                    union ^= b & ~cand
+                    packed[j] = b & cand
+                    changed = True
+        covers = self.covers
+        left = uncovered.bit_count()
+        for b in packed:
+            gain = 0
+            while b:
+                low = b & -b
+                c = low.bit_length() - 1
+                g = ((covers[c] or self._covers(c)) & uncovered).bit_count()
+                if g > gain:
+                    gain = g
+                b ^= low
+            left -= gain
+            if left <= 0:
+                return True
+        return False
 
     def _last(self, dmask: int, uncovered: int, banned: int, size: int):
         """The node (dmask, size) with room for one more member: record the

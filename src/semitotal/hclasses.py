@@ -96,6 +96,11 @@ def ec1_gt2_p5free(g: Graph) -> bool:
     """
     if not is_connected(g) or not is_h_free(g, _P5):
         raise PreconditionViolated("expects a connected P5-free graph")
+    return _ec1_gt2_p5free(g)
+
+
+def _ec1_gt2_p5free(g: Graph) -> bool:
+    """`ec1_gt2_p5free` past its gate."""
     return not exists_within(g, DominationKind.SEMITOTAL, 2)
 
 
@@ -203,6 +208,11 @@ def ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
         raise PreconditionViolated("k must be at least 1")
     if not is_connected(g) or not is_h_free(g, _p3_plus(k)):
         raise PreconditionViolated("expects a connected P3+kP2-free graph")
+    return _ec1_gt2_p3kp2free(g, k)
+
+
+def _ec1_gt2_p3kp2free(g: Graph, k: int) -> bool:
+    """`ec1_gt2_p3kp2free` past its gate."""
     # value 2 is the floor; no contraction can help.  exists_within raises
     # Infeasible on fewer than two vertices.
     if exists_within(g, DominationKind.SEMITOTAL, 2):
@@ -231,7 +241,8 @@ def poly_dispatch(g: Graph, h: Graph) -> bool:
     g holds a copy whose vertex set must dominate g, capping the semitotal
     value at twice the copy's order, so the minimum sets `ct_is_one` scans
     stay small.  A pattern left with no isolated vertex is a bare path
-    pattern, and goes to the matching decider.
+    pattern, and goes to the matching decider's body: its gate would only
+    repeat the connectivity test and a pattern scan that g passes.
     """
     if classify_h(h).verdict is not HVerdict.POLYNOMIAL:
         raise PreconditionViolated("pattern is outside the tractable families")
@@ -247,9 +258,12 @@ def poly_dispatch(g: Graph, h: Graph) -> bool:
             # before this strip, so X dominates g and the value is at most
             # 2|X|: the scan of the minimum sets stays bounded.
             return ct_is_one(g, DominationKind.SEMITOTAL)
+    # g avoids h, and h is an induced subgraph of the decider's pattern, so
+    # g avoids that too: P4-free implies P5-free, P3-free implies
+    # P3+P2-free, and qP2-free implies P3+(q-1)P2-free (P3+P2-free for q = 1)
     sizes = sorted((len(c) for c in components(h)), reverse=True)
     if sizes[0] >= 4:
-        return ec1_gt2_p5free(g)
+        return _ec1_gt2_p5free(g)
     if sizes[0] == 3:
-        return ec1_gt2_p3kp2free(g, max(sizes.count(2), 1))
-    return ec1_gt2_p3kp2free(g, max(len(sizes) - 1, 1))
+        return _ec1_gt2_p3kp2free(g, max(sizes.count(2), 1))
+    return _ec1_gt2_p3kp2free(g, max(len(sizes) - 1, 1))

@@ -2,7 +2,7 @@ import contextlib
 import hashlib
 import json
 import math
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from time import monotonic
 
@@ -29,7 +29,7 @@ from semitotal import (
 from semitotal import domination
 from semitotal.domination import DEFAULT_BUDGET, search_budget
 from semitotal.errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
-from semitotal.graphs import Graph, random_connected, to_graph6
+from semitotal.graphs import Graph, _bits, random_connected, to_graph6
 
 import oracles
 from conftest import connected_graphs_st
@@ -332,7 +332,7 @@ def test_past_deadline_stops_both_searches():
 
 # An order-60 graph on which every kind's `solve`, and its refutation of
 # value - 1, count more than 256 nodes, so that the clock is read twice.
-DEEP = random_connected(60, 0.1, 4)
+DEEP = random_connected(60, 0.1, 20)
 
 
 def test_deep_searches_count_past_256():
@@ -367,6 +367,67 @@ def test_walk_matches_the_parent_search():
             assert (res.value, res.witness) == oracles.parent_solve(g, kind), (to_graph6(g), kind)
             for j in range(res.value - 2, res.value + 1):
                 assert exists_within(g, kind, j) == oracles.parent_exists_within(g, kind, j)
+
+
+def test_one_short_filter_drops_only_what_cannot_record(monkeypatch):
+    # a node one short records only by one member from each packed set, so
+    # a candidate the filter drops, or a node it prunes, must have no such
+    # choice covering the uncovered vertices; checked by trying them all
+    calls = []
+    real = domination._Search._one_short
+
+    def spy(self, packed, pending, uncovered):
+        before = list(packed)
+        survives = real(self, packed, pending, uncovered)
+        calls.append((self.rank_bit, before, packed if survives else None, uncovered))
+        return survives
+
+    monkeypatch.setattr(domination._Search, "_one_short", spy)
+    pruned = dropped = 0
+    for i in range(300):
+        g = random_connected(8 + i % 7, (0.15, 0.25, 0.4)[i % 3], 5000 + i)
+        adj = oracles.adjacency(*oracles.edge_data(g))
+        for kind in KINDS:
+            ball = {v: adj[v] | ({v} if kind is not TOT else set()) for v in adj}
+            calls.clear()
+            exists_within(g, kind, solve(g, kind).value - 1)
+            for rank_bit, before, after, uncovered in calls:
+                left = {v for v in adj if rank_bit[v] & uncovered}
+                covering = {
+                    pick for pick in product(*(list(_bits(b)) for b in before))
+                    if left <= set().union(*(ball[c] for c in pick))
+                }
+                if after is None:
+                    pruned += 1
+                    assert not covering, (to_graph6(g), kind)
+                    continue
+                for b, a in zip(before, after):
+                    for c in _bits(b & ~a):
+                        dropped += 1
+                        assert not any(c in pick for pick in covering), (to_graph6(g), kind)
+    assert pruned and dropped
+
+
+# `solve(...).nodes` per kind (domination, total, semitotal) of the search
+# before the one-short filter, on DEEP and on seven graphs of order 36..42
+# at p = 1.5 ln n / n (None below), keyed by (order, p, seed)
+PARENT_NODES = {
+    (60, 0.1, 20): (7582, 3498, 7582),
+    (36, None, 2000): (65, 36, 65),
+    (37, None, 2001): (139, 106, 139),
+    (38, None, 2002): (57, 21, 248),
+    (39, None, 2003): (619, 172, 619),
+    (40, None, 2004): (157, 24, 157),
+    (41, None, 2005): (179, 336, 179),
+    (42, None, 2006): (398, 235, 398),
+}
+
+
+def test_one_short_filter_visits_no_more_nodes():
+    for (n, p, seed), parent in PARENT_NODES.items():
+        g = random_connected(n, p or 1.5 * math.log(n) / n, seed)
+        for kind, bound in zip(KINDS, parent):
+            assert solve(g, kind).nodes <= bound, (n, seed, kind)
 
 
 def test_deadline_read_at_every_256th_count(monkeypatch):
