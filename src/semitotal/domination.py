@@ -9,11 +9,10 @@ uncovered vertex and drops every vertex whose ball meets its ball, one step
 per packed vertex, and stops as soon as it prunes.  When it ends one short,
 a completion below the best size takes exactly one member from each packed
 candidate set: the sets are filtered to a fixpoint by the uncovered
-vertices whose candidates meet only one of them, the node branches on the
-filtered first set, and a gain count prunes the node if the filtered sets'
-best covers add up to fewer than the uncovered vertices.  Branches take
-candidates in ascending original id, and each candidate's rank-space
-cover, each reach mask and each distance-2 ball are built on first use.
+vertices whose candidates meet only one of them, and the node branches on
+the filtered first set.  Branches take candidates in ascending original
+id, and each candidate's rank-space cover, each reach mask and each
+distance-2 ball are built on first use.
 A node with room for one more member below the best size takes its last
 member from the intersection of its uncovered vertices' candidate sets,
 without a call per child, and a child with no room is not visited: the
@@ -34,6 +33,7 @@ the stored result after that; outside one it always searches."""
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -160,13 +160,12 @@ class _Search:
     nothing else.  So the member that covers an uncovered vertex x comes
     from a set meeting x's candidates: if none does, the node prunes; if
     one does, that set shrinks to x's candidates; this repeats until
-    nothing changes.  Then the node prunes when the filtered sets' largest
-    covers of the uncovered vertices add up to fewer than there are.  The
-    node branches on the filtered first set, and the candidates dropped
-    from it are banned before the loop: a completion with two members of
-    that set cannot record.  All of these remove only nodes and children
-    that cannot record below `best`, so the records are those of a walk
-    without them, and the walk visits a subset of its nodes.
+    nothing changes.  The node branches on the filtered first set, and the
+    candidates dropped from it are banned before the loop: a completion
+    with two members of that set cannot record.  All of these remove only
+    nodes and children that cannot record below `best`, so the records are
+    those of a walk without them, and the walk visits a subset of its
+    nodes.
 
     A node whose cover is not full is searched only while it has room for
     two or more members below the best size.  With room for one,
@@ -301,7 +300,7 @@ class _Search:
                 rest &= ~(reach[r] or self._reach(r))
             cands = packed[0]
             if len(packed) == limit - 1:
-                if not self._one_short(packed, uncovered & ~heads, uncovered):
+                if not self._one_short(packed, uncovered & ~heads):
                     return
                 # a completion with two members of the first set cannot
                 # record, so the members the filter dropped are banned here
@@ -335,14 +334,14 @@ class _Search:
             banned |= low
             cands ^= low
 
-    def _one_short(self, packed: list, pending: int, uncovered: int) -> bool:
+    def _one_short(self, packed: list, pending: int) -> bool:
         """Filter the packed candidate sets of a node one short, in place,
         and say whether the node survives.  `pending` holds the uncovered
         ranks other than the packed ones, whose sets are their own.  A rank
         whose candidates meet no set prunes the node; one whose candidates
         meet one set cuts that set to them, and is settled, since the set
         stays inside its candidates.  Passes repeat until one changes
-        nothing; then the gain count runs on the filtered sets."""
+        nothing."""
         ball_by_rank = self.ball_by_rank
         union = 0
         for b in packed:
@@ -370,21 +369,7 @@ class _Search:
                     union ^= b & ~cand
                     packed[j] = b & cand
                     changed = True
-        covers = self.covers
-        left = uncovered.bit_count()
-        for b in packed:
-            gain = 0
-            while b:
-                low = b & -b
-                c = low.bit_length() - 1
-                g = ((covers[c] or self._covers(c)) & uncovered).bit_count()
-                if g > gain:
-                    gain = g
-                b ^= low
-            left -= gain
-            if left <= 0:
-                return True
-        return False
+        return True
 
     def _last(self, dmask: int, uncovered: int, banned: int, size: int):
         """The node (dmask, size) with room for one more member: record the
@@ -430,6 +415,15 @@ def _check_solvable(g: Graph, kind: DominationKind, budget=None, deadline=None):
     )
 
 
+def _walk(search: _Search) -> None:
+    """Run the search from the root.  `run` takes one frame per chosen
+    member, so a deep walk is refused with ScaleLimit, not RecursionError."""
+    try:
+        search.run(0, 0, 0, 0)
+    except RecursionError:
+        raise ScaleLimit(f"search deeper than the recursion limit {sys.getrecursionlimit()}") from None
+
+
 # the results `solve` stored in the innermost open `solved_once` block
 _SOLVED: ContextVar[dict | None] = ContextVar("solved", default=None)
 
@@ -457,7 +451,9 @@ def solve(
 
     `budget` caps the nodes (default search_budget()); `deadline` is a time
     on the `time.monotonic` clock.  InvalidSetting for a budget that is not
-    a non-negative int or a deadline that is not a finite real.
+    a non-negative int or a deadline that is not a finite real; ScaleLimit
+    past either limit, or when the walk, one frame per chosen member, would
+    pass the recursion limit.
 
     Inside a `solved_once` block, a call with neither limit returns the
     result stored for the same rows and kind, the very object the first
@@ -473,7 +469,7 @@ def solve(
     limits = _check_solvable(g, kind, budget, deadline)
     search = _Search(g, kind, *limits, stop_at=None)
     search.greedy()
-    search.run(0, 0, 0, 0)
+    _walk(search)
     result = SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
     if memo is not None:
         memo[key] = result
@@ -495,7 +491,7 @@ def exists_within(
         return False
     search = _Search(g, kind, *limits, stop_at=k)
     try:
-        search.run(0, 0, 0, 0)
+        _walk(search)
     except _Found:
         return True
     return search.best <= k

@@ -547,6 +547,14 @@ def from_graph6(text: str) -> Graph:
 # -- edge-list text format ----------------------------------------------
 
 
+def _at_most(tok: str, limit: int) -> int:
+    """The value of a token of ASCII digits, or limit + 1 for any value
+    above limit.  int() refuses more than 4300 digits, so a token with more
+    significant digits than limit is not converted."""
+    digits = tok.lstrip("0")
+    return limit + 1 if len(digits) > len(str(limit)) else int(digits or "0")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read "n m" followed by m lines "u v" (0-based, one edge each)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -556,20 +564,20 @@ def parse_edge_list(text: str) -> Graph:
     # str.isdigit alone also accepts the digits of other scripts
     if len(head) != 2 or not all(t.isascii() and t.isdigit() for t in head):
         raise ParseError(f"bad header {lines[0]!r}", offset=0)
-    n, m = int(head[0]), int(head[1])
+    n, m = _at_most(head[0], _G6_MAX), _at_most(head[1], len(lines) - 1)
     if n > _G6_MAX:
-        raise ParseError(f"order {n} exceeds the graph6 maximum {_G6_MAX}", offset=0)
+        raise ParseError(f"order {head[0]} exceeds the graph6 maximum {_G6_MAX}", offset=0)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, got {len(lines) - 1}")
+        raise ParseError(f"expected {head[1]} edge lines, got {len(lines) - 1}")
     seen = set()
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2 or not all(t.isascii() and t.isdigit() for t in parts):
             raise ParseError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _at_most(parts[0], n), _at_most(parts[1], n)
         if u == v or u >= n or v >= n:
-            raise ParseError(f"invalid edge {u} {v} for n={n}")
+            raise ParseError(f"invalid edge {parts[0]} {parts[1]} for n={n}")
         e = normalize_edge(u, v)
         if e in seen:
             raise ParseError(f"duplicate edge {u} {v}")

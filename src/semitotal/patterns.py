@@ -12,6 +12,7 @@ import re
 from .errors import ParseError, PatternTooLarge
 from .graphs import (
     Graph,
+    _at_most,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -40,7 +41,8 @@ _NAMED = {
     "longpaw": long_paw,
 }
 
-_TERM = re.compile(r"^(\d*)([PCK])(\d+)$")
+# ASCII only: \d alone also matches the digits of other scripts
+_TERM = re.compile(r"^(\d*)([PCK])(\d+)$", re.ASCII)
 
 MAX_EXPRESSION_ORDER = 1000  # forbidden patterns are small; bounds what is allocated
 
@@ -60,8 +62,8 @@ def parse_pattern(text: str) -> Graph:
         m = _TERM.match(tok)
         if not m:
             raise ParseError(f"unrecognised pattern term {tok!r}")
-        count = int(m.group(1)) if m.group(1) else 1
-        kind, order = m.group(2), int(m.group(3))
+        count = _at_most(m.group(1), MAX_EXPRESSION_ORDER) if m.group(1) else 1
+        kind, order = m.group(2), _at_most(m.group(3), MAX_EXPRESSION_ORDER)
         if count < 1:
             raise ParseError(f"multiplier must be positive in {tok!r}")
         if order < 1 or (kind == "C" and order < 3):

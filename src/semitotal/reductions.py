@@ -13,12 +13,14 @@ paper's parameter identities, and `validate_reduction` runs both.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import Infeasible, InvalidInstance, ParseError, ScaleLimit
 from .graphs import (
     Graph,
+    _at_most,
     contains_induced,
     is_chordal,
     is_connected,
@@ -61,7 +63,9 @@ class SatInstance:
 
     @property
     def exactly_3_bounded(self) -> bool:
-        return all(len(s) == 3 for s in self.occurrence_slots())
+        # 3|X| occurrences fill |C| clauses of three: a cheap test first,
+        # since the slots hold one list per variable
+        return self.num_vars == len(self.clauses) and all(len(s) == 3 for s in self.occurrence_slots())
 
     @property
     def all_vars_used(self) -> bool:
@@ -80,15 +84,17 @@ def parse_sat(text: str) -> SatInstance:
         raise ParseError(f"unknown header flag {head[4]!r}", offset=0)
     if not all(t.isascii() and t.isdigit() for t in head[2:4]):
         raise ParseError(f"bad counts in header {lines[0]!r}", offset=0)
-    nv, nc = int(head[2]), int(head[3])
+    nv, nc = _at_most(head[2], sys.maxsize), _at_most(head[3], len(lines) - 1)
+    if nv > sys.maxsize:  # more variables than a list can hold
+        raise ParseError(f"variable count {head[2]} exceeds {sys.maxsize}", offset=0)
     if len(lines) - 1 != nc:
-        raise ParseError(f"expected {nc} clause lines, got {len(lines) - 1}")
+        raise ParseError(f"expected {head[3]} clause lines, got {len(lines) - 1}")
     clauses = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
             raise ParseError(f"bad clause line {ln!r}")
-        vals = [int(p) for p in parts]
+        vals = [_at_most(p, nv) for p in parts]
         if any(not 1 <= v <= nv for v in vals):
             raise ParseError(f"clause {ln!r} out of 1..{nv}")
         if len(set(vals)) != 3:

@@ -117,6 +117,15 @@ def test_ct_exact_matches_oracle_exhaustive():
             assert got == oracles.brute_ct(n, edges, kind.value, 3)
 
 
+def test_ct_exact_gives_three_on_paths_and_cycles_of_five_parts():
+    # with gamma_t2 = ceil(2n/5), k contractions turn P_n into P_{n-k} (C_n
+    # into C_{n-k}), and only n = 5q, q >= 2, needs three to drop the value
+    for n in range(6, 26):
+        for g in (path_graph(n), cycle_graph(n)):
+            k, _ = ct_exact(g, SDS, 3)
+            assert (k == 3) == (n % 5 == 0 and n >= 10), (g.n, g.m, k)
+
+
 def test_ct_exact_matches_oracle_order6_semitotal():
     for g in connected_graphs(6):
         res = ct_exact(g, SDS, 3)

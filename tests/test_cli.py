@@ -251,6 +251,17 @@ def test_scale_limit_exits_4(capsys):
     assert report["error"]["type"] == "ScaleLimit"
 
 
+def test_deep_search_exits_4(capsys, monkeypatch):
+    # a search deeper than the recursion limit once ended in a traceback
+    n = 3000
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "200000")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, report = run_cli(capsys, "solve", "--stdin", "--kind", "semitotal")
+    assert code == 4
+    assert report["error"]["type"] == "ScaleLimit"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "solve" in capsys.readouterr().out
@@ -344,6 +355,36 @@ def test_edge_list_order_above_graph6_maximum_exits_2(capsys, monkeypatch):
     assert report["error"]["type"] == "ParseError"
 
 
+# int() refuses strings of more than 4300 digits
+HUGE = "9" * 5000
+HUGE_INPUTS = [
+    (["classify", "--pattern", "P" + HUGE], b"", "PatternTooLarge"),
+    (["solve", "--file", "{file}"], f"{HUGE} 0\n".encode(), "ParseError"),
+    (["solve", "--file", "{file}"], f"3 {HUGE}\n0 1\n".encode(), "ParseError"),
+    (["solve", "--file", "{file}"], f"3 1\n0 {HUGE}\n".encode(), "ParseError"),
+    (["reduce", "--target", "2p3free", "--sat", "{file}"], f"p 1in3 {HUGE} 1\n1 2 3\n".encode(), "ParseError"),
+    (["reduce", "--target", "2p3free", "--sat", "{file}"], f"p 1in3 3 {HUGE}\n1 2 3\n".encode(), "ParseError"),
+    (["reduce", "--target", "2p3free", "--sat", "{file}"], f"p 1in3 3 1\n1 2 {HUGE}\n".encode(), "ParseError"),
+]
+
+
+@pytest.mark.parametrize("argv, data, error", HUGE_INPUTS)
+def test_oversized_integer_tokens_exit_2(capsys, tmp_path, argv, data, error):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code, report = run_cli(capsys, *(str(path) if a == "{file}" else a for a in argv))
+    assert code == 2
+    assert report["error"]["type"] == error
+
+
+def test_leading_zeros_read_as_the_number(capsys, tmp_path):
+    path = tmp_path / "input"
+    path.write_text(f"{'0' * 5000}2 1\n0 0{'0' * 5000}1\n", encoding="ascii")
+    code, report = run_cli(capsys, "solve", "--file", str(path))
+    assert code == 0
+    assert report["input"]["order"] == 2
+
+
 # -- the output contract over arbitrary input ---------------------------
 
 _GRAPHS = ["EhEG", "F?LS_", "A_", "@", "4 3\n0 1\n1 2\n2 3", "5 0", "p 1in3 3 1\n1 2 3"]
@@ -403,6 +444,14 @@ def _argv(draw):
 @example(["solve", "-h"], b"", "strict")
 @example(["classify", "--pattern", "P99999999999"], b"", "strict")
 @example(["classify", "--pattern", "99999999999K2"], b"", "strict")
+# int() raised ValueError on tokens of more than 4300 digits
+@example(*HUGE_INPUTS[0][:2], "strict")
+@example(*HUGE_INPUTS[1][:2], "strict")
+@example(*HUGE_INPUTS[3][:2], "strict")
+@example(*HUGE_INPUTS[4][:2], "strict")
+@example(*HUGE_INPUTS[6][:2], "strict")
+# read as P3+K1 while the graph and SAT parsers refuse non-ASCII digits
+@example(["classify", "--pattern", "P\u0663+K\u0661"], b"", "strict")
 def test_every_input_gives_one_json_object(argv, data, errors):
     with tempfile.TemporaryDirectory() as tmp_dir:
         path = os.path.join(tmp_dir, "input")

@@ -54,6 +54,24 @@ def test_hand_values():
     assert solve(cycle_graph(6), DOM).value == 2
 
 
+def test_paths_and_cycles_meet_their_closed_forms():
+    # gamma = ceil(n/3) and gamma_t2 = ceil(2n/5) on P_n and C_n: an oracle
+    # past brute-force scale that does not rest on another search
+    for n in range(3, 31):
+        for g in (path_graph(n), cycle_graph(n)):
+            assert solve(g, DOM).value == -(-n // 3), (g.n, g.m)
+            assert solve(g, SDS).value == -(-2 * n // 5), (g.n, g.m)
+
+
+def test_deep_walks_raise_scale_limit():
+    # `run` takes one frame per chosen member, and the first walk down P2000
+    # chooses members far past the recursion limit
+    with pytest.raises(ScaleLimit, match="recursion limit"):
+        solve(path_graph(2000), SDS)
+    with pytest.raises(ScaleLimit, match="recursion limit"):
+        exists_within(path_graph(2000), SDS, 1500)
+
+
 def test_witness_reachability_floor():
     # a semitotal member needs a partner within distance two, so one vertex
     # can never suffice even when it dominates everything
@@ -372,14 +390,16 @@ def test_walk_matches_the_parent_search():
 def test_one_short_filter_drops_only_what_cannot_record(monkeypatch):
     # a node one short records only by one member from each packed set, so
     # a candidate the filter drops, or a node it prunes, must have no such
-    # choice covering the uncovered vertices; checked by trying them all
+    # choice covering the uncovered vertices; checked by trying them all.
+    # Each packed set lies inside its head's ball, so every such choice
+    # covers the heads, and covering the pending ranks is the whole test
     calls = []
     real = domination._Search._one_short
 
-    def spy(self, packed, pending, uncovered):
+    def spy(self, packed, pending):
         before = list(packed)
-        survives = real(self, packed, pending, uncovered)
-        calls.append((self.rank_bit, before, packed if survives else None, uncovered))
+        survives = real(self, packed, pending)
+        calls.append((self.rank_bit, before, packed if survives else None, pending))
         return survives
 
     monkeypatch.setattr(domination._Search, "_one_short", spy)
@@ -391,8 +411,8 @@ def test_one_short_filter_drops_only_what_cannot_record(monkeypatch):
             ball = {v: adj[v] | ({v} if kind is not TOT else set()) for v in adj}
             calls.clear()
             exists_within(g, kind, solve(g, kind).value - 1)
-            for rank_bit, before, after, uncovered in calls:
-                left = {v for v in adj if rank_bit[v] & uncovered}
+            for rank_bit, before, after, pending in calls:
+                left = {v for v in adj if rank_bit[v] & pending}
                 covering = {
                     pick for pick in product(*(list(_bits(b)) for b in before))
                     if left <= set().union(*(ball[c] for c in pick))

@@ -1,7 +1,7 @@
 import pytest
 
 from semitotal import parse_pattern
-from semitotal.errors import ParseError
+from semitotal.errors import ParseError, PatternTooLarge
 from semitotal.graphs import components
 from semitotal.patterns import claw, long_paw, net
 
@@ -33,6 +33,17 @@ def test_parse_sums_and_multipliers():
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "  ", "Q3", "P0", "C2", "0P3", "P3+", "P3++P2", "K"]:
+    # U+0663 and U+0661 are Arabic-Indic three and one
+    for bad in ["", "  ", "Q3", "P0", "C2", "0P3", "P3+", "P3++P2", "K", "P\u0663+K\u0661", "\u0662P3"]:
         with pytest.raises(ParseError):
             parse_pattern(bad)
+
+
+def test_parse_refuses_oversized_numbers_before_converting():
+    # int() refuses strings of more than 4300 digits
+    for bad in ["P" + "9" * 5000, "9" * 5000 + "K2", "P3+" + "0" * 4999 + "1001K1"]:
+        with pytest.raises(PatternTooLarge):
+            parse_pattern(bad)
+    with pytest.raises(ParseError, match="multiplier"):
+        parse_pattern("0P" + "9" * 5000)
+    assert parse_pattern("0" * 5000 + "2P" + "0" * 5000 + "3") == parse_pattern("2P3")

@@ -131,6 +131,17 @@ def test_parse_sat_rejects():
             parse_sat(bad)
 
 
+def test_b3_header_checks_the_counts_before_the_slots(monkeypatch):
+    # the slots hold one list per variable: a header of 10^8 variables and
+    # no clause must not build them
+    def no_slots(self):
+        raise AssertionError("occurrence slots built")
+
+    monkeypatch.setattr(SatInstance, "occurrence_slots", no_slots)
+    with pytest.raises(ParseError, match="b3"):
+        parse_sat("p 1in3 100000000 0 b3")
+
+
 def test_parse_sat_names_a_repeated_variable_as_written():
     # the clause is named 1-based, as in the file, not as (0, 0, 1)
     with pytest.raises(ParseError, match="clause '1 1 2' repeats a variable"):
