@@ -281,7 +281,9 @@ def embed(tables, checks, reuse, above, domains) -> tuple[int, ...] | None:
     earlier step j.  Hosts are distinct, except that step i may repeat the
     host of each earlier step in `reuse[i]`, and the host of step i must
     exceed the host of each earlier step in `above[i]` (the symmetry-breaking
-    constraints of `_pattern_plan`).  All of these are folded into one
+    constraints of `_pattern_plan`, which keep the least tuple of each orbit
+    when the steps of one orbit share a domain, as the degree and co-degree
+    domains of `_match` do).  All of these are folded into one
     candidate mask per step (bitset domain filtering, as in the Glasgow
     Subgraph Solver) and candidates are taken lowest id first, so the answer
     is the lexicographically first in step order.  With one candidate per
@@ -374,9 +376,12 @@ def _pattern_plan(h: Graph, induced: bool):
     larger host than step i.  The orbits come from `embed` itself, placing
     h in h with the earlier steps pinned, step i pinned to w and every
     later step kept in its vertex's colour-refinement class.  Every copy of
-    h is then found once, not once per automorphism.  Precondition: every
-    step draws from the same domain.  Then the least tuple of each orbit
-    is the one kept, so the first match is the same as without `above`.
+    h is then found once, not once per automorphism.  Precondition: the
+    steps of one orbit draw from the same domain, as they do when each
+    step's domain depends only on its vertex's degree and co-degree, which
+    automorphisms preserve (`_pattern_floors`).  Then the least tuple of
+    each orbit is the one kept, so the first match is the same as without
+    `above`.
     Verify mode (one candidate per step, checking a given tuple) carries no
     `above`: it must accept every orientation of the tuple.
     """
@@ -416,14 +421,48 @@ def _pattern_plan(h: Graph, induced: bool):
     return tuple(order), checks, none, tuple(map(tuple, above))
 
 
+@lru_cache(maxsize=32)
+def _pattern_floors(h: Graph, induced: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """Per step of `_pattern_plan(h, induced)`: (degree, vertices of at
+    least that degree, co-degree, vertices of at least that co-degree),
+    the co-degree (non-neighbours) being 0 for a subgraph copy.  The counts
+    turn "the host's sorted sequence dominates the pattern's" into one test
+    per step: at least that many hosts reach the step's floor."""
+    degree = [row.bit_count() for row in h.rows]
+    co = [h.n - 1 - d if induced else 0 for d in degree]
+    return tuple(
+        (degree[v], sum(d >= degree[v] for d in degree), co[v], sum(c >= co[v] for c in co))
+        for v in _pattern_plan(h, induced)[0]
+    )
+
+
 def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
+    """Screen the hosts by degree and co-degree inside the mask, then
+    search (the degree filtering of LAD, Solnon, Artificial Intelligence
+    174, 2010).  A copy maps each pattern vertex to a host of at least its
+    degree and, if induced, its co-degree, so the screen drops no host of
+    any copy and the first match is the one the unscreened search finds."""
     if h.n > MAX_PATTERN_ORDER:
         raise PatternTooLarge(f"pattern has {h.n} vertices, limit {MAX_PATTERN_ORDER}")
     mask = g.full_mask() if within is None else vertex_mask(g, within)
-    if h.n > mask.bit_count():
+    size = mask.bit_count()
+    if h.n > size:  # also keeps every floor below size
         return None
+    # at_least[d]: the hosts of degree d or more in g[mask]
+    at_least = [0] * (size + 1)
+    for v in _bits(mask):
+        at_least[(g.rows[v] & mask).bit_count()] |= 1 << v
+    for d in range(size - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    domains = []
+    for degree, many, co, co_many in _pattern_floors(h, induced):
+        # co-degree at least co: degree at most size - 1 - co
+        up, down = at_least[degree], mask & ~at_least[size - co]
+        if up.bit_count() < many or down.bit_count() < co_many:
+            return None
+        domains.append(up & down)
     order, *plan = _pattern_plan(h, induced)
-    hosts = embed((g.rows,), *plan, (mask,) * h.n)
+    hosts = embed((g.rows,), *plan, domains)
     return None if hosts is None else dict(sorted(zip(order, hosts)))
 
 
@@ -432,9 +471,11 @@ def contains_induced(g: Graph, h: Graph, within=None) -> dict[int, int] | None:
 
     `within` optionally restricts host vertices to a subset of V(g).  The
     pattern is placed in the order of `_pattern_plan`, so the copy returned
-    is the first that `embed` finds in that order.  Every step draws from
-    the same domain, so the plan's symmetry-breaking constraints try each
-    copy of h once without changing which copy comes first.
+    is the first that `embed` finds in that order.  Each step draws from
+    the hosts whose degree and co-degree in the mask reach its vertex's,
+    and automorphisms of h preserve both, so the steps of one orbit share a
+    domain and the plan's symmetry-breaking constraints try each copy of h
+    once without changing which copy comes first.
     """
     return _match(g, h, True, within)
 

@@ -8,6 +8,7 @@ integer multiplier followed by Pk / Ck / Kk or one of the named graphs
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .errors import ParseError, PatternTooLarge
 from .graphs import (
@@ -42,7 +43,8 @@ _NAMED = {
 }
 
 # ASCII only: \d alone also matches the digits of other scripts
-_TERM = re.compile(r"^(\d*)([PCK])(\d+)$", re.ASCII)
+_MULTIPLIER = re.compile(r"\d*", re.ASCII)
+_FAMILY = re.compile(r"^([PCK])(\d+)$", re.ASCII)
 
 MAX_EXPRESSION_ORDER = 1000  # forbidden patterns are small; bounds what is allocated
 
@@ -55,22 +57,25 @@ def parse_pattern(text: str) -> Graph:
     total = 0
     for raw in text.split("+"):
         tok = raw.strip()
-        key = tok.lower().replace("-", "").replace("_", "")
-        if key in _NAMED:
-            parts.append(_NAMED[key]())
-            continue
-        m = _TERM.match(tok)
-        if not m:
+        digits = _MULTIPLIER.match(tok).group()
+        body = tok[len(digits):]
+        count = _at_most(digits, MAX_EXPRESSION_ORDER) if digits else 1
+        name = body.lower().replace("-", "").replace("_", "")
+        family = _FAMILY.match(body)
+        if name in _NAMED:
+            make = _NAMED[name]
+            order = make().n
+        elif family:
+            kind, order = family.group(1), _at_most(family.group(2), MAX_EXPRESSION_ORDER)
+            if order < 1 or (kind == "C" and order < 3):
+                raise ParseError(f"order out of range in {tok!r}")
+            make = partial({"P": path_graph, "C": cycle_graph, "K": complete_graph}[kind], order)
+        else:
             raise ParseError(f"unrecognised pattern term {tok!r}")
-        count = _at_most(m.group(1), MAX_EXPRESSION_ORDER) if m.group(1) else 1
-        kind, order = m.group(2), _at_most(m.group(3), MAX_EXPRESSION_ORDER)
         if count < 1:
             raise ParseError(f"multiplier must be positive in {tok!r}")
-        if order < 1 or (kind == "C" and order < 3):
-            raise ParseError(f"order out of range in {tok!r}")
         total += count * order
         if total > MAX_EXPRESSION_ORDER:
             raise PatternTooLarge(f"pattern exceeds {MAX_EXPRESSION_ORDER} vertices at {tok!r}")
-        base = {"P": path_graph, "C": cycle_graph, "K": complete_graph}[kind]
-        parts.extend(base(order) for _ in range(count))
+        parts.extend(make() for _ in range(count))
     return disjoint_union(parts)

@@ -377,6 +377,14 @@ def test_oversized_integer_tokens_exit_2(capsys, tmp_path, argv, data, error):
     assert report["error"]["type"] == error
 
 
+@pytest.mark.parametrize(
+    "pattern", ["P999+claw+claw", "+".join(["claw"] * 300)], ids=["P999+2claws", "300claws"])
+def test_named_terms_past_the_order_bound_exit_2(capsys, pattern):
+    code, report = run_cli(capsys, "classify", "--pattern", pattern)
+    assert code == 2
+    assert report["error"]["type"] == "PatternTooLarge"
+
+
 def test_leading_zeros_read_as_the_number(capsys, tmp_path):
     path = tmp_path / "input"
     path.write_text(f"{'0' * 5000}2 1\n0 0{'0' * 5000}1\n", encoding="ascii")
@@ -452,6 +460,8 @@ def _argv(draw):
 @example(*HUGE_INPUTS[6][:2], "strict")
 # read as P3+K1 while the graph and SAT parsers refuse non-ASCII digits
 @example(["classify", "--pattern", "P\u0663+K\u0661"], b"", "strict")
+# named terms once added nothing to the order bound: 1200 vertices accepted
+@example(["classify", "--pattern", "+".join(["claw"] * 300)], b"", "strict")
 def test_every_input_gives_one_json_object(argv, data, errors):
     with tempfile.TemporaryDirectory() as tmp_dir:
         path = os.path.join(tmp_dir, "input")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from semitotal import (
     DominationKind,
     complete_graph,
+    connected_graphs,
     cycle_graph,
     disjoint_union,
     enumerate_min_sets,
@@ -129,6 +130,13 @@ def test_value_chain_on_all_small_graphs():
         tot = solve(g, TOT).value
         assert dom <= sds <= tot
         assert sds >= 2
+
+
+def test_domination_number_one_census():
+    # gamma = 1 exactly when some vertex is universal; deleting it leaves any
+    # graph on n - 1 vertices, so order n has A000088(n - 1) such graphs
+    counts = [sum(solve(g, DOM).value == 1 for g in connected_graphs(n)) for n in range(2, 9)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_exists_within_consistent_with_solve():

@@ -34,6 +34,7 @@ from semitotal import (
     star_graph,
     to_graph6,
 )
+from semitotal import graphs
 from semitotal.errors import GenerationFailed, InvalidEdge, ParseError, PatternTooLarge
 from semitotal.graphs import (
     MAX_PATTERN_ORDER,
@@ -478,6 +479,81 @@ def test_dense_pattern_plans_build_quickly():
         for induced in (True, False):
             _pattern_plan.__wrapped__(h, induced)
     assert time.monotonic() - started < 5
+
+
+def _spy_embed(monkeypatch, patterns):
+    """Count the matcher's calls of `embed`, with the plans of the given
+    (pattern, induced) pairs built first, since building one calls it."""
+    for h, induced in patterns:
+        _pattern_plan(h, induced)
+    calls = []
+    monkeypatch.setattr(graphs, "embed", lambda *args: calls.append(args) or embed(*args))
+    return calls
+
+
+def test_degree_screen_refusals_match_the_oracle(monkeypatch):
+    # dense hosts against sparse patterns and sparse hosts against dense
+    # ones, where the degree or co-degree sequence test fires
+    sparse = [parse_pattern(p) for p in ("P3", "P4", "P5", "claw", "2P2", "P3+P2", "3K1")]
+    patterns = sparse + [oracles.complement(h) for h in sparse] + [complete_graph(4), cycle_graph(4)]
+    rng = random.Random(7)
+    hosts = []
+    for n in range(4, 8):
+        for p in (0.15, 0.3, 0.75, 0.9):
+            hosts.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    searched = _spy_embed(monkeypatch, [(h, induced) for h in patterns for induced in (True, False)])
+    tried = refused = 0
+    for g in hosts:
+        within = sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
+        for h in patterns:
+            for find, brute in ((contains_induced, oracles.brute_induced),
+                                (contains_subgraph, oracles.brute_subgraph)):
+                for w in (None, within):
+                    before = len(searched)
+                    hit = find(g, h, within=w)
+                    assert (hit is not None) == brute(g.n, g.edges(), h.n, h.edges(), w), (
+                        to_graph6(g), to_graph6(h), find.__name__, w)
+                    tried += 1
+                    # refused by the sequence test, not for want of hosts
+                    refused += len(searched) == before and h.n <= len(w or range(g.n))
+    assert tried // 4 < refused < tried
+
+
+def test_degree_screen_refuses_without_searching(monkeypatch):
+    cases = [
+        (contains_induced, complete_graph(7), path_graph(5), True),  # co-degree
+        (contains_subgraph, path_graph(6), star_graph(4), False),  # degree
+    ]
+    searched = _spy_embed(monkeypatch, [(h, induced) for _, _, h, induced in cases])
+    for find, g, h, _ in cases:
+        assert find(g, h) is None
+    assert searched == []
+
+
+def test_equal_degree_sequences_still_search(monkeypatch):
+    p5, two_p3 = path_graph(5), parse_pattern("2P3")
+    c5 = cycle_graph(5)
+    wheel = Graph.from_edges(6, [*c5.edges(), *((v, 5) for v in range(5))])
+    cases = [(p5, p5, None), (two_p3, two_p3, None), (wheel, c5, range(5))]
+    searched = _spy_embed(monkeypatch, [(h, induced) for _, h, _ in cases for induced in (True, False)])
+    for g, h, within in cases:
+        for find in (contains_induced, contains_subgraph):
+            before = len(searched)
+            hit = find(g, h, within=within)
+            assert len(searched) == before + 1, (to_graph6(g), find.__name__)
+            assert hit is not None and sorted(hit.values()) == list(range(h.n))
+            assert all(g.has_edge(hit[a], hit[b]) for a, b in h.edges())
+
+
+def test_degree_screen_narrows_each_domain(monkeypatch):
+    # the wheel's hub has co-degree 0, below every vertex of an induced C5,
+    # and degree 5, which every vertex of a C5 subgraph may have
+    c5 = cycle_graph(5)
+    wheel = Graph.from_edges(6, [*c5.edges(), *((v, 5) for v in range(5))])
+    searched = _spy_embed(monkeypatch, [(c5, True), (c5, False)])
+    assert contains_induced(wheel, c5) == {v: v for v in range(5)}
+    assert contains_subgraph(wheel, c5) is not None
+    assert [list(args[-1]) for args in searched] == [[0b11111] * 5, [0b111111] * 5]
 
 
 def test_chordal_hand_cases():

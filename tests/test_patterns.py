@@ -2,8 +2,8 @@ import pytest
 
 from semitotal import parse_pattern
 from semitotal.errors import ParseError, PatternTooLarge
-from semitotal.graphs import components
-from semitotal.patterns import claw, long_paw, net
+from semitotal.graphs import components, disjoint_union
+from semitotal.patterns import MAX_EXPRESSION_ORDER, claw, long_paw, net
 
 
 def test_named_patterns():
@@ -47,3 +47,19 @@ def test_parse_refuses_oversized_numbers_before_converting():
     with pytest.raises(ParseError, match="multiplier"):
         parse_pattern("0P" + "9" * 5000)
     assert parse_pattern("0" * 5000 + "2P" + "0" * 5000 + "3") == parse_pattern("2P3")
+
+
+def test_named_terms_take_a_multiplier():
+    assert parse_pattern("2claw") == disjoint_union([claw(), claw()])
+    assert parse_pattern("P3+2Long-Paw") == parse_pattern("P3+longpaw+longpaw")
+    assert parse_pattern("1net") == net()
+    with pytest.raises(ParseError, match="multiplier"):
+        parse_pattern("0claw")
+
+
+def test_named_terms_count_toward_the_order_bound():
+    # each named term once added nothing to the running total
+    for bad in ["P999+claw+claw", "+".join(["claw"] * 300), "P998+2net"]:
+        with pytest.raises(PatternTooLarge):
+            parse_pattern(bad)
+    assert parse_pattern("P992+2claw").n == MAX_EXPRESSION_ORDER
