@@ -16,9 +16,9 @@ distance-2 ball are built on first use.
 A node with room for one more member below the best size takes its last
 member from the intersection of its uncovered vertices' candidate sets,
 without a call per child, and a child with no room is not visited: the
-records, and so the witness, are those of the full walk.  Nodes are counted per visit and per
-last-member step; the budget is checked at every count and the deadline
-read at the first and then every 256th.  The one lexicographic
+records, and so the witness, are those of the full walk.  Nodes are
+counted per visit and per last-member step, and the node budget, the one
+limit of a search, is checked at every count.  The one lexicographic
 sweep, `feasible_sets`, lists the feasible sets of one size in
 `combinations` order, for callers that need every set or the first one
 carrying some structure.  It shares only the ball helpers `_balls` and
@@ -38,24 +38,26 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
-from math import comb, isfinite
-from numbers import Real
-from time import monotonic
+from math import comb
 
 from .errors import Infeasible, InvalidSetting, NotInSet, ScaleLimit
-from .graphs import Graph, _bits, is_connected, vertex_mask
+from .graphs import Graph, _at_most, _bits, is_connected, vertex_mask
 
 DEFAULT_BUDGET = 10**8
 
 
 def search_budget() -> int:
-    """Node / subset budget: SEMITOTAL_BUDGET, a positive integer, or the default."""
+    """Node / subset budget: SEMITOTAL_BUDGET, a positive integer, or the
+    default.  A value with more digits than sys.maxsize is read as
+    sys.maxsize + 1, unconverted: no search counts that far, and no sweep
+    of more subsets would end."""
     raw = os.environ.get("SEMITOTAL_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+    budget = _at_most(raw, sys.maxsize) if raw.isascii() and raw.isdigit() else 0
+    if budget <= 0:
         raise InvalidSetting(f"SEMITOTAL_BUDGET must be a positive integer, got {raw!r}")
-    return int(raw)
+    return budget
 
 
 class DominationKind(Enum):
@@ -127,14 +129,6 @@ def _checked_budget(budget) -> int:
     return budget
 
 
-def _checked_deadline(deadline) -> float:
-    """A deadline must be a finite real on the monotonic clock: monotonic()
-    is never above NaN, so a NaN deadline would never fire."""
-    if isinstance(deadline, bool) or not isinstance(deadline, Real) or not isfinite(deadline):
-        raise InvalidSetting(f"deadline must be a finite number, got {deadline!r}")
-    return deadline
-
-
 class _Search:
     """Branch-and-bound over vertex bitmasks for one graph and kind.
 
@@ -175,12 +169,10 @@ class _Search:
     passes the leaf check: the sets its children would record, in their
     order.  With no room, the child is not visited at all.  `nodes` counts
     the calls of `run` and the children handed to `_last`, not the skipped
-    ones.  At every count the budget is checked, and the deadline clock is
-    read at the first count and then at each multiple of 256, both through
-    one threshold, `check_at`.  The budget and deadline arrive checked, as
-    `_check_solvable` returns them."""
+    ones.  Every count is checked against the budget, which arrives
+    checked, as `_check_solvable` returns it."""
 
-    def __init__(self, g: Graph, kind: DominationKind, budget, deadline, stop_at):
+    def __init__(self, g: Graph, kind: DominationKind, budget, stop_at):
         n = g.n
         ball = _balls(g, kind)
         # a stable sort keeps equal-size balls in id order
@@ -197,10 +189,8 @@ class _Search:
         self.near = [None] * n  # per vertex: its distance-2 ball, itself excluded
         self.reach = [None] * n  # per rank: the ranks whose balls meet its ball
         self.budget = budget
-        self.deadline = deadline
         self.stop_at = stop_at
         self.nodes = 0
-        self.check_at = 1  # the count at which `_check` next runs
         self.all = (1 << n) - 1
         self.best = n + 1 if stop_at is None else stop_at + 1
         self.best_mask = 0
@@ -237,18 +227,6 @@ class _Search:
                 return near
         return 0
 
-    def _check(self):
-        """ScaleLimit past the budget or the deadline; then the next count
-        to check at: past the budget, or the next multiple of 256."""
-        if self.nodes > self.budget:
-            raise ScaleLimit(f"search exceeded {self.budget} nodes")
-        if self.deadline is None:
-            self.check_at = self.budget + 1
-            return
-        if monotonic() > self.deadline:
-            raise ScaleLimit("search deadline exceeded")
-        self.check_at = min(self.budget + 1, (self.nodes | 255) + 1)
-
     def greedy(self):
         """Seed the bound: repeatedly take the vertex covering most, ties
         to the smallest id, then give each lonely semitotal pick the
@@ -269,8 +247,8 @@ class _Search:
 
     def run(self, dmask: int, cover: int, banned: int, size: int):
         self.nodes += 1
-        if self.nodes >= self.check_at:
-            self._check()
+        if self.nodes > self.budget:
+            raise ScaleLimit(f"search exceeded {self.budget} nodes")
         full = self.all
         uncovered = full & ~cover
         if uncovered:
@@ -328,8 +306,8 @@ class _Search:
                 self.run(dmask | low, child, banned, size)
             elif room == 2:
                 self.nodes += 1
-                if self.nodes >= self.check_at:
-                    self._check()
+                if self.nodes > self.budget:
+                    raise ScaleLimit(f"search exceeded {self.budget} nodes")
                 self._last(dmask | low, full & ~child, banned, size)
             banned |= low
             cands ^= low
@@ -396,23 +374,19 @@ class _Search:
         if size < self.best:
             self.best = size
             self.best_mask = dmask
-            if self.stop_at is not None and size <= self.stop_at:
+            if self.stop_at is not None:
                 raise _Found
 
 
-def _check_solvable(g: Graph, kind: DominationKind, budget=None, deadline=None):
+def _check_solvable(g: Graph, kind: DominationKind, budget=None) -> int:
     """The gate of every search, run before any work: Infeasible for a
     disconnected graph, or for total or semitotal domination on fewer than
-    2 vertices; then the checked limits, (budget, deadline), the budget
-    defaulting to search_budget()."""
+    2 vertices; then the checked node budget, search_budget() by default."""
     if kind is not DominationKind.DOMINATION and g.n < 2:
         raise Infeasible(f"{kind.value} domination needs at least 2 vertices")
     if not is_connected(g):
         raise Infeasible("solver requires a connected graph")
-    return (
-        search_budget() if budget is None else _checked_budget(budget),
-        None if deadline is None else _checked_deadline(deadline),
-    )
+    return search_budget() if budget is None else _checked_budget(budget)
 
 
 def _walk(search: _Search) -> None:
@@ -440,34 +414,27 @@ def solved_once():
         _SOLVED.reset(token)
 
 
-def solve(
-    g: Graph,
-    kind: DominationKind,
-    *,
-    budget: int | None = None,
-    deadline: float | None = None,
-) -> SolveResult:
+def solve(g: Graph, kind: DominationKind, *, budget: int | None = None) -> SolveResult:
     """Minimum (semi)total/plain dominating set via branch-and-bound.
 
-    `budget` caps the nodes (default search_budget()); `deadline` is a time
-    on the `time.monotonic` clock.  InvalidSetting for a budget that is not
-    a non-negative int or a deadline that is not a finite real; ScaleLimit
-    past either limit, or when the walk, one frame per chosen member, would
-    pass the recursion limit.
+    `budget` caps the nodes (default search_budget()), the search's only
+    limit, so whether a search stops does not depend on the machine.
+    InvalidSetting for a budget that is not a non-negative int; ScaleLimit
+    past it, or when the walk, one frame per chosen member, would pass the
+    recursion limit.
 
-    Inside a `solved_once` block, a call with neither limit returns the
+    Inside a `solved_once` block, a call without a budget returns the
     result stored for the same rows and kind, the very object the first
     call returned; the search is deterministic, so that is the result a
-    second search would give.  A call with a limit always searches, and a
+    second search would give.  A call with a budget always searches, and a
     call that raises stores nothing."""
-    memo = _SOLVED.get() if budget is None and deadline is None else None
+    memo = _SOLVED.get() if budget is None else None
     if memo is not None:
         key = g.rows, kind
         stored = memo.get(key)
         if stored is not None:
             return stored
-    limits = _check_solvable(g, kind, budget, deadline)
-    search = _Search(g, kind, *limits, stop_at=None)
+    search = _Search(g, kind, _check_solvable(g, kind, budget), stop_at=None)
     search.greedy()
     _walk(search)
     result = SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
@@ -476,25 +443,20 @@ def solve(
     return result
 
 
-def exists_within(
-    g: Graph,
-    kind: DominationKind,
-    k: int,
-    *,
-    budget: int | None = None,
-    deadline: float | None = None,
-) -> bool:
+def exists_within(g: Graph, kind: DominationKind, k: int, *, budget: int | None = None) -> bool:
     """Decision variant: is there a feasible set of size at most k?  The
-    limits are those of `solve`, checked the same way."""
-    limits = _check_solvable(g, kind, budget, deadline)
+    budget is that of `solve`, checked the same way.  The search starts
+    from best = k + 1, without the greedy seed, so its first record has
+    size at most k and ends it; a walk that returns recorded nothing."""
+    cap = _check_solvable(g, kind, budget)
     if k <= 0:
         return False
-    search = _Search(g, kind, *limits, stop_at=k)
+    search = _Search(g, kind, cap, stop_at=k)
     try:
         _walk(search)
     except _Found:
         return True
-    return search.best <= k
+    return False
 
 
 def feasible_sets(g: Graph, kind: DominationKind, k: int):

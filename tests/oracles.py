@@ -20,7 +20,6 @@ for every child and takes the least code with `min`.
 """
 
 from itertools import combinations, permutations
-from time import monotonic
 
 from semitotal import Graph
 from semitotal.domination import _Found, _Search, search_budget
@@ -249,9 +248,6 @@ class ParentSearch(_Search):
         self.nodes += 1
         if self.nodes > self.budget:
             raise ScaleLimit(f"search exceeded {self.budget} nodes")
-        # the clock is read at the first node and then every 256th
-        if self.deadline is not None and self.nodes & 255 == 1 and monotonic() > self.deadline:
-            raise ScaleLimit("search deadline exceeded")
         uncovered = self.all & ~cover
         if uncovered:
             limit = self.best - size
@@ -301,7 +297,7 @@ class ParentSearch(_Search):
 
 def parent_solve(g, kind):
     """(value, witness) from `ParentSearch`, seeded as `solve` seeds it."""
-    search = ParentSearch(g, kind, search_budget(), None, stop_at=None)
+    search = ParentSearch(g, kind, search_budget(), stop_at=None)
     search.greedy()
     search.run(0, 0, 0, 0)
     return search.best, frozenset(_bits(search.best_mask))
@@ -311,7 +307,7 @@ def parent_exists_within(g, kind, k):
     """`exists_within` on `ParentSearch`."""
     if k <= 0:
         return False
-    search = ParentSearch(g, kind, search_budget(), None, stop_at=k)
+    search = ParentSearch(g, kind, search_budget(), stop_at=k)
     try:
         search.run(0, 0, 0, 0)
     except _Found:

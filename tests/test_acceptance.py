@@ -2,15 +2,15 @@
 
 Every criterion runs at its full stated scale, the two exhaustive
 contraction sweeps over every connected graph up to order 8.  The
-153-vertex claw-free identity is attempted under a 10-minute deadline and
-reported as skipped when the search runs out of time, which the criterion
-accepts; SEMITOTAL_AC7_SECONDS shortens the attempt for development runs.
+153-vertex claw-free identity is attempted under a node budget, 10^8 by
+default, and reported as skipped when the search runs out of nodes, which
+the criterion accepts; SEMITOTAL_AC7_NODES shortens the attempt for
+development runs.
 """
 
-import math
 import os
 import random
-from time import monotonic
+import sys
 
 import pytest
 
@@ -33,23 +33,24 @@ from semitotal import (
     satisfying_sds,
     solve,
 )
+from semitotal.domination import DEFAULT_BUDGET
+from semitotal.graphs import _at_most
 from test_blocker import p4_forces_config
 from test_reductions import build_variable_gadget, paw_lower_bound_holds
 
 SDS = DominationKind.SEMITOTAL
 
 
-def _ac7_seconds() -> float:
-    """SEMITOTAL_AC7_SECONDS, or 600.  Read inside ac07 so a bad value fails
-    that test alone; a NaN deadline would never fire."""
-    raw = os.environ.get("SEMITOTAL_AC7_SECONDS", "600")
-    try:
-        seconds = float(raw)
-    except ValueError:
-        seconds = math.nan
-    if not (math.isfinite(seconds) and seconds > 0):
-        pytest.fail(f"SEMITOTAL_AC7_SECONDS must be a finite positive number, got {raw!r}")
-    return seconds
+def _ac7_nodes() -> int:
+    """SEMITOTAL_AC7_NODES, a positive integer, or DEFAULT_BUDGET.  Read
+    inside ac07 so a bad value fails that test alone."""
+    raw = os.environ.get("SEMITOTAL_AC7_NODES")
+    if raw is None:
+        return DEFAULT_BUDGET
+    nodes = _at_most(raw, sys.maxsize) if raw.isascii() and raw.isdigit() else 0
+    if nodes <= 0:
+        pytest.fail(f"SEMITOTAL_AC7_NODES must be a positive integer, got {raw!r}")
+    return nodes
 
 
 # mechanism token -> contraction count it certifies
@@ -114,7 +115,7 @@ def test_ac06_sat_identity_and_independence_equivalence():
 
 
 def test_ac07_clawfree_construction_and_identity_attempt():
-    seconds = _ac7_seconds()
+    nodes = _ac7_nodes()
     bounded = SatInstance(3, ((0, 1, 2),) * 3)
     wide = SatInstance(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
     claw = parse_pattern("claw")
@@ -134,13 +135,10 @@ def test_ac07_clawfree_construction_and_identity_attempt():
     assert len(witness) == target
     assert is_feasible(host.graph, SDS, witness)
     try:
-        smaller = exists_within(
-            host.graph, SDS, target - 1,
-            budget=10**12, deadline=monotonic() + seconds,
-        )
+        smaller = exists_within(host.graph, SDS, target - 1, budget=nodes)
     except ScaleLimit:
         pytest.skip(
-            f"identity attempt used up the {seconds:.0f}s deadline; "
+            f"identity attempt used up its {nodes}-node budget; "
             f"the size-{target} witness stands, the lower bound is open"
         )
     # the witness gives <= target, so refuting target-1 settles equality

@@ -302,6 +302,14 @@ def test_invalid_budget_setting_is_a_usage_error(capsys, monkeypatch):
     assert "SEMITOTAL_BUDGET" in report["error"]["message"]
 
 
+def test_budget_setting_past_the_int_digit_limit_is_a_budget(capsys, monkeypatch):
+    # int() refuses more than 4300 digits: this printed a traceback
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1" * 5000)
+    code, report = run_cli(capsys, "solve", "--graph6", "Dhc")
+    assert code == 0
+    assert report["results"]["value"] == 2
+
+
 def test_non_ascii_digit_on_stdin_exits_2(capsys, monkeypatch):
     # U+0661 ARABIC-INDIC DIGIT ONE passes str.isdigit
     monkeypatch.setattr("sys.stdin", io.StringIO("2 1\n0 \u0661\n"))

@@ -2,9 +2,9 @@ import contextlib
 import hashlib
 import json
 import math
+import sys
 from itertools import combinations, product
 from math import comb
-from time import monotonic
 
 import pytest
 from hypothesis import given, settings
@@ -156,7 +156,7 @@ def test_plain_and_total_record_a_full_cover(n, seed, kind, greedy, value):
     # `_Search.run` only two or more below the bound; one below, `_last`
     # records it.  So greedy must overshoot the optimum by two.
     g = random_connected(n, 0.2, seed)
-    search = domination._Search(g, kind, search_budget(), None, None)
+    search = domination._Search(g, kind, search_budget(), None)
     search.greedy()
     assert search.best == greedy >= value + 2
     assert solve(g, kind).value == value == oracles.brute_value(*oracles.edge_data(g), kind.value)
@@ -235,6 +235,17 @@ def test_search_budget_reads_the_setting(monkeypatch):
     assert search_budget() == 1
     with pytest.raises(ScaleLimit):
         solve(cycle_graph(6), SDS)
+
+
+def test_search_budget_past_the_int_digit_limit(monkeypatch):
+    # int() refuses more than 4300 digits, so such a setting raised
+    # ValueError; it is a budget no count reaches, and zeros stay invalid
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1" * 5000)
+    assert search_budget() == sys.maxsize + 1
+    assert solve(cycle_graph(6), SDS).value == 3
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "0" * 5000)
+    with pytest.raises(InvalidSetting):
+        search_budget()
 
 
 def test_search_budget_follows_a_changed_setting(monkeypatch):
@@ -331,11 +342,12 @@ def test_search_answers_frozen():
 
 
 @pytest.mark.parametrize("limits", [
-    {"deadline": math.nan}, {"deadline": math.inf}, {"deadline": "1"}, {"deadline": True},
+    {"budget": math.inf}, {"budget": "1"}, {"budget": 1.0}, {"budget": -10**30},
     {"budget": math.nan}, {"budget": 2.5}, {"budget": -1}, {"budget": True},
 ])
 def test_invalid_search_limits_are_rejected(limits):
-    # unchecked, a NaN deadline or budget never fired and 2.5 passed as a budget
+    # unchecked, a NaN or infinite budget never fired and 2.5 passed as a
+    # budget; only a non-negative int that is not a bool is a budget
     g = random_connected(40, 1.5 * math.log(40) / 40, 7)
     for kind in KINDS:
         with pytest.raises(InvalidSetting):
@@ -345,25 +357,15 @@ def test_invalid_search_limits_are_rejected(limits):
                 exists_within(g, kind, k, **limits)
 
 
-def test_past_deadline_stops_both_searches():
-    # the clock is read at the first node, so even a short search stops
-    past = monotonic() - 1
-    for g in (cycle_graph(6), random_connected(40, 1.5 * math.log(40) / 40, 7)):
-        for kind in KINDS:
-            with pytest.raises(ScaleLimit):
-                solve(g, kind, deadline=past)
-            with pytest.raises(ScaleLimit):
-                exists_within(g, kind, solve(g, kind).value - 1, deadline=past)
-
-
 # An order-60 graph on which every kind's `solve`, and its refutation of
-# value - 1, count more than 256 nodes, so that the clock is read twice.
+# value - 1, count more than 256 nodes, so that a budget stops them deep in
+# the walk, not at its root.
 DEEP = random_connected(60, 0.1, 20)
 
 
 def test_deep_searches_count_past_256():
-    # the premise of the two tests below: a sharper bound can shorten these
-    # searches, and then DEEP must be re-picked
+    # the premise of the budget tests on DEEP: a sharper bound can shorten
+    # these searches, and then DEEP must be re-picked
     for kind in KINDS:
         res = solve(DEEP, kind)
         assert res.nodes > 256, kind
@@ -380,6 +382,33 @@ def test_solve_reports_its_node_count():
             solve(DEEP, kind, budget=first.nodes - 1)
     assert solve_by_enumeration(cycle_graph(6), SDS).nodes is None
     assert solve_by_enumeration(cycle_graph(6), SDS) == solve(cycle_graph(6), SDS)
+
+
+def test_every_budget_below_the_count_stops_the_search():
+    # nodes are counted at each call of `run` and at each child handed to
+    # `_last`, and the budget is checked at both, so each budget below the
+    # count stops the search and the count itself does not.  Between them,
+    # these order-16 graphs hand children to `_last` in every kind
+    for seed in (10, 14, 19):
+        g = random_connected(16, 0.2, seed)
+        for kind in KINDS:
+            res = solve(g, kind)
+            assert solve(g, kind, budget=res.nodes) == res
+            for budget in range(res.nodes):
+                with pytest.raises(ScaleLimit):
+                    solve(g, kind, budget=budget)
+
+
+def test_refutation_stops_at_its_node_count():
+    # `exists_within` reports no count, so its search is run to its end to
+    # read one; value - 1 is refuted at that budget and not one below it
+    for kind in KINDS:
+        value = solve(DEEP, kind).value
+        search = domination._Search(DEEP, kind, DEFAULT_BUDGET, value - 1)
+        domination._walk(search)
+        assert not exists_within(DEEP, kind, value - 1, budget=search.nodes)
+        with pytest.raises(ScaleLimit):
+            exists_within(DEEP, kind, value - 1, budget=search.nodes - 1)
 
 
 def test_walk_matches_the_parent_search():
@@ -458,35 +487,6 @@ def test_one_short_filter_visits_no_more_nodes():
             assert solve(g, kind).nodes <= bound, (n, seed, kind)
 
 
-def test_deadline_read_at_every_256th_count(monkeypatch):
-    # nodes are also counted outside `run`, for the children handed to the
-    # last-member step, so the clock is read by count, not at entry
-    reads = []
-    monkeypatch.setattr(domination, "monotonic", lambda: reads.append(None) or 0.0)
-    for kind in KINDS:
-        reads.clear()
-        res = solve(DEEP, kind, deadline=1.0)
-        assert len(reads) == 1 + res.nodes // 256
-    # a clock behind the deadline at its first read only: the second read
-    # comes at the 256th count and stops the search
-    monkeypatch.setattr(domination, "monotonic", lambda: reads.append(None) or len(reads) - 1.0)
-    for kind in KINDS:
-        value = solve(DEEP, kind).value
-        for search in (lambda: solve(DEEP, kind, deadline=0.5),
-                       lambda: exists_within(DEEP, kind, value - 1, deadline=0.5)):
-            reads.clear()
-            with pytest.raises(ScaleLimit):
-                search()
-            assert len(reads) == 2
-    monkeypatch.undo()
-    past = monotonic() - 1
-    for kind in KINDS:
-        with pytest.raises(ScaleLimit):
-            solve(DEEP, kind, deadline=past)
-        with pytest.raises(ScaleLimit):
-            exists_within(DEEP, kind, solve(DEEP, kind).value - 1, deadline=past)
-
-
 def _search_runs(monkeypatch) -> list:
     """Record every call of the search's `run`, the root's and the children's."""
     runs = []
@@ -524,8 +524,6 @@ def test_solved_once_leaves_limited_calls_alone(monkeypatch):
         stored = solve(g, SDS)
         with pytest.raises(ScaleLimit):
             solve(g, SDS, budget=0)
-        with pytest.raises(ScaleLimit):
-            solve(g, SDS, deadline=monotonic() - 1)
         assert solve(g, SDS) is stored
     with domination.solved_once():
         # a limited call neither reads nor writes the memo

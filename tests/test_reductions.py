@@ -7,6 +7,7 @@ import pytest
 from semitotal import (
     DominationKind,
     SatInstance,
+    SolveResult,
     brute_1in3,
     is_feasible,
     iter_connected_graphs,
@@ -464,6 +465,16 @@ def test_validate_reduction_skips_identity_when_capped(monkeypatch):
     by_name = {c.name: c for c in checks}
     assert by_name["identity"].status == "skipped"
     assert by_name["order"].status == "pass"
+
+
+def test_identity_fails_a_value_below_its_target(monkeypatch):
+    # the SAT identities are two-sided: an unsatisfiable host must sit above
+    # its target, not merely off it
+    out = reduce_2p3free(SatInstance(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))))
+    assert identity_check(out).status == "pass"
+    target = out.meta["gamma_t2_target"]
+    monkeypatch.setattr(reductions, "solve", lambda g, kind: SolveResult(kind, target - 1, frozenset()))
+    assert identity_check(out).status == "fail"
 
 
 def test_identity_past_brute_force_scale():

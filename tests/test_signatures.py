@@ -7,7 +7,8 @@ from pathlib import Path
 import semitotal
 
 # Per-call limits.  Every other limit is the SEMITOTAL_BUDGET setting or a
-# module constant, so only the two search entry points take any.
+# module constant, so only the two search entry points take any, and they
+# take only a node budget: "deadline" is listed so that one added back fails.
 KNOBS = {"budget", "deadline", "max_vars"}
 
 
@@ -28,10 +29,48 @@ def test_only_the_search_entry_points_take_limits():
     }
     assert knobs == {
         ("domination.solve", "budget"),
-        ("domination.solve", "deadline"),
         ("domination.exists_within", "budget"),
-        ("domination.exists_within", "deadline"),
     }
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _env_reads():
+    """(module.function, key) for every reference to the process environment
+    in the package: the key is the string constant read, or None when the
+    reference is anything but a read of one constant key."""
+    for path in sorted(Path(semitotal.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                if any(alias.name in ENV_READERS for alias in node.names):
+                    yield f"{path.stem}.<import>", None
+                continue
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name not in ENV_READERS:
+                continue
+            up = parent[node]
+            if isinstance(up, ast.Attribute) and up.attr == "get":  # environ.get(key)
+                up = parent[up]
+            key = None
+            if isinstance(up, ast.Call) and up.args and isinstance(up.args[0], ast.Constant):
+                key = up.args[0].value
+            elif isinstance(up, ast.Subscript) and isinstance(up.slice, ast.Constant):
+                key = up.slice.value
+            where = [path.stem]
+            while up in parent:
+                up = parent[up]
+                if isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    where.insert(1, up.name)
+            yield ".".join(where), key
+
+
+def test_one_environment_setting():
+    # the node budget is the one limit a search takes from outside, so the
+    # package reads one environment key, in one place
+    assert set(_env_reads()) == {("domination.search_budget", "SEMITOTAL_BUDGET")}
 
 
 
