@@ -278,7 +278,7 @@ _SUBGRAPHS = ("P2", "P3", "2P2", "P4", "claw", "2P3")
 _PLANS = {
     "friendly-triple": _TRIPLE,
     **{cid: _config_plan(spec) for cid, spec in CONFIG_SPECS.items()},
-    **{p: _pattern_plan(parse_pattern(p), False)[1:] for p in _SUBGRAPHS},
+    **{p: _pattern_plan(parse_pattern(p), False)[1:4] for p in _SUBGRAPHS},
 }
 # distinct hosts a plan needs: one per role, less the roles that may repeat
 _NEEDS = {key: len(checks) - sum(map(bool, reuse)) for key, (checks, reuse, _) in _PLANS.items()}
@@ -382,8 +382,8 @@ def path_contraction_certificate(g: Graph) -> ContractionCertificate:
     d = next(feasible_sets(g, _SDS, value))
     # the first pair in lex order is also the first with u < v
     pair = u, v = embed(_tables(g), *_PAIR, (vertex_mask(g, d),) * 2)
-    du = _bfs_dist(g.rows, g.n, u)
-    dv = _bfs_dist(g.rows, g.n, v)
+    du = _bfs_dist(g.rows, g.n, 1 << u)
+    dv = _bfs_dist(g.rows, g.n, 1 << v)
     w = min((x for x in d if x not in pair), key=lambda x: (min(du[x], dv[x]), x))
     path = _shortest_path(g, w, du if du[w] <= dv[w] else dv)
     edges = tuple(normalize_edge(a, b) for a, b in zip(path, path[1:]))

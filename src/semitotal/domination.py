@@ -449,8 +449,8 @@ def exists_within(g: Graph, kind: DominationKind, k: int, *, budget: int | None 
     from best = k + 1, without the greedy seed, so its first record has
     size at most k and ends it; a walk that returns recorded nothing."""
     cap = _check_solvable(g, kind, budget)
-    if k <= 0:
-        return False
+    if k <= 0:  # no set is smaller than the empty one, which dominates only K0
+        return k == 0 == g.n
     search = _Search(g, kind, cap, stop_at=k)
     try:
         _walk(search)
@@ -493,7 +493,7 @@ def feasible_sets(g: Graph, kind: DominationKind, k: int):
 def solve_by_enumeration(g: Graph, kind: DominationKind) -> SolveResult:
     """Smallest feasible set by the subset sweep; independent of the search."""
     _check_solvable(g, kind)
-    for size in range(1, g.n + 1):
+    for size in range(g.n + 1):
         for d in feasible_sets(g, kind, size):
             return SolveResult(kind, size, frozenset(d))
     raise Infeasible(f"no feasible {kind.value} set exists")

@@ -82,10 +82,11 @@ class Graph:
 # -- traversal and distances ---------------------------------------------
 
 
-def _bfs_dist(rows: tuple[int, ...], n: int, source: int) -> list[float]:
-    """Distances from source, the one distance route; math.inf if unreachable."""
+def _bfs_dist(rows: tuple[int, ...], n: int, sources: int) -> list[float]:
+    """Distances from the nearest vertex of the `sources` mask, the one
+    distance route; math.inf if unreachable."""
     dist = [inf] * n
-    frontier = 1 << source
+    frontier = sources
     seen = frontier
     d = 0
     while frontier:
@@ -345,25 +346,9 @@ def embed(tables, checks, reuse, above, domains) -> tuple[int, ...] | None:
 # -- induced / subgraph pattern search -----------------------------------
 
 
-def _refined_classes(h: Graph) -> list[int]:
-    """Per vertex, the mask of its class under colour refinement: vertices
-    are split by degree, then by their neighbours' classes, until no class
-    splits.  Automorphisms map each class onto itself, so confining an
-    automorphism search to the classes stops it from trying every ordering
-    of a pattern's twins against a pin that no automorphism realises."""
-    colour = [0] * h.n
-    while True:
-        sig = [(colour[v], tuple(sorted(colour[w] for w in _bits(h.rows[v])))) for v in range(h.n)]
-        names = {key: c for c, key in enumerate(sorted(set(sig)))}
-        if len(names) == len(set(colour)):
-            break
-        colour = [names[key] for key in sig]
-    return [sum(1 << w for w in range(h.n) if colour[w] == c) for c in colour]
-
-
 @lru_cache(maxsize=32)
 def _pattern_plan(h: Graph, induced: bool):
-    """(order, checks, reuse, above) for placing h with `embed`.
+    """(order, checks, reuse, above, floors) for placing h with `embed`.
 
     The placement order keeps each prefix as connected as possible (most
     placed neighbours, then highest degree, then smallest id).  Each step's
@@ -375,22 +360,28 @@ def _pattern_plan(h: Graph, induced: bool):
     the automorphisms of h that fix each earlier step's vertex, must get a
     larger host than step i.  The orbits come from `embed` itself, placing
     h in h with the earlier steps pinned, step i pinned to w and every
-    later step kept in its vertex's colour-refinement class.  Every copy of
-    h is then found once, not once per automorphism.  Precondition: the
-    steps of one orbit draw from the same domain, as they do when each
-    step's domain depends only on its vertex's degree and co-degree, which
-    automorphisms preserve (`_pattern_floors`).  Then the least tuple of
-    each orbit is the one kept, so the first match is the same as without
-    `above`.
+    later step kept among the vertices of its vertex's degree, which
+    automorphisms preserve.  Every copy of h is then found once, not once
+    per automorphism.  Precondition: the steps of one orbit draw from the
+    same domain, as they do when each step's domain depends only on its
+    vertex's degree and co-degree.  Then the least tuple of each orbit is
+    the one kept, so the first match is the same as without `above`.
     Verify mode (one candidate per step, checking a given tuple) carries no
     `above`: it must accept every orientation of the tuple.
+
+    `floors` gives per step (degree, vertices of at least that degree,
+    co-degree, vertices of at least that co-degree), the co-degree
+    (non-neighbours) being 0 for a subgraph copy.  The counts turn "the
+    host's sorted sequence dominates the pattern's" into one test per step
+    of `_match`'s screen: at least that many hosts reach the step's floor.
     """
+    degree = [row.bit_count() for row in h.rows]
     order: list[int] = []
     placed = 0
     for _ in range(h.n):
         p = max(
             (v for v in range(h.n) if not placed >> v & 1),
-            key=lambda v: ((h.rows[v] & placed).bit_count(), h.rows[v].bit_count(), -v),
+            key=lambda v: ((h.rows[v] & placed).bit_count(), degree[v], -v),
         )
         order.append(p)
         placed |= 1 << p
@@ -410,7 +401,7 @@ def _pattern_plan(h: Graph, induced: bool):
     automorphic = step_checks(True)
     none = ((),) * h.n
     pins = [1 << v for v in order]
-    classes = [_refined_classes(h)[v] for v in order]
+    classes = [sum(1 << w for w in range(h.n) if degree[w] == degree[v]) for v in order]
     above: list[list[int]] = [[] for _ in order]
     for i in range(h.n):
         for k in range(i + 1, h.n):
@@ -418,22 +409,12 @@ def _pattern_plan(h: Graph, induced: bool):
             if classes[i] & pins[k] and embed((h.rows,), automorphic, none, none, doms) is not None:
                 above[k].append(i)
     checks = automorphic if induced else step_checks(False)
-    return tuple(order), checks, none, tuple(map(tuple, above))
-
-
-@lru_cache(maxsize=32)
-def _pattern_floors(h: Graph, induced: bool) -> tuple[tuple[int, int, int, int], ...]:
-    """Per step of `_pattern_plan(h, induced)`: (degree, vertices of at
-    least that degree, co-degree, vertices of at least that co-degree),
-    the co-degree (non-neighbours) being 0 for a subgraph copy.  The counts
-    turn "the host's sorted sequence dominates the pattern's" into one test
-    per step: at least that many hosts reach the step's floor."""
-    degree = [row.bit_count() for row in h.rows]
     co = [h.n - 1 - d if induced else 0 for d in degree]
-    return tuple(
+    floors = tuple(
         (degree[v], sum(d >= degree[v] for d in degree), co[v], sum(c >= co[v] for c in co))
-        for v in _pattern_plan(h, induced)[0]
+        for v in order
     )
+    return tuple(order), checks, none, tuple(map(tuple, above)), floors
 
 
 def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
@@ -454,15 +435,15 @@ def _match(g: Graph, h: Graph, induced: bool, within) -> dict[int, int] | None:
         at_least[(g.rows[v] & mask).bit_count()] |= 1 << v
     for d in range(size - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
+    order, checks, reuse, above, floors = _pattern_plan(h, induced)
     domains = []
-    for degree, many, co, co_many in _pattern_floors(h, induced):
+    for degree, many, co, co_many in floors:
         # co-degree at least co: degree at most size - 1 - co
         up, down = at_least[degree], mask & ~at_least[size - co]
         if up.bit_count() < many or down.bit_count() < co_many:
             return None
         domains.append(up & down)
-    order, *plan = _pattern_plan(h, induced)
-    hosts = embed((g.rows,), *plan, domains)
+    hosts = embed((g.rows,), checks, reuse, above, domains)
     return None if hosts is None else dict(sorted(zip(order, hosts)))
 
 

@@ -152,7 +152,7 @@ def regular_vertices(g: Graph, far, k: int) -> frozenset[int]:
     if len(eligible) < k + 1:
         return frozenset()
     check_subsets(len(eligible), k + 1)
-    dist = {v: _bfs_dist(rows, g.n, v) for v in eligible}
+    dist = {v: _bfs_dist(rows, g.n, 1 << v) for v in eligible}
     regular: set[int] = set()
     for group in combinations(eligible, k + 1):
         if all(dist[x][y] >= 4 for x, y in combinations(group, 2)):
@@ -167,26 +167,13 @@ def abc_partition(g: Graph, anchor, k: int) -> ABCPartition:
     of the anchor and the far layer is independent; both facts are enforced
     rather than assumed.
     """
-    amask = vertex_mask(g, anchor)
-    bmask = 0
-    for v in _bits(amask):
-        bmask |= g.rows[v]
-    bmask &= ~amask
-    cmask = 0
-    for v in _bits(bmask):
-        cmask |= g.rows[v]
-    cmask &= ~(amask | bmask)
-    if amask | bmask | cmask != g.full_mask():
+    dist = _bfs_dist(g.rows, g.n, vertex_mask(g, anchor))
+    if any(d > 2 for d in dist):
         raise PreconditionViolated("anchor does not reach every vertex in two steps")
-    if any(g.rows[v] & cmask for v in _bits(cmask)):
+    a, b, far = (frozenset(v for v in range(g.n) if dist[v] == d) for d in range(3))
+    if any(dist[w] == 2 for v in far for w in _bits(g.rows[v])):
         raise PreconditionViolated("far layer is not independent")
-    far = frozenset(_bits(cmask))
-    return ABCPartition(
-        frozenset(_bits(amask)),
-        frozenset(_bits(bmask)),
-        far,
-        regular_vertices(g, far, k),
-    )
+    return ABCPartition(a, b, far, regular_vertices(g, far, k))
 
 
 def sds_size_threshold(k: int, a: int) -> int:

@@ -327,6 +327,18 @@ def test_non_ascii_file_exits_2(capsys, tmp_path):
     assert "offset 6" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("data", [b"", b" \n\n"])
+def test_empty_input_exits_2(capsys, monkeypatch, tmp_path, data):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.StringIO(data.decode()))
+    for source in (["--file", str(path)], ["--stdin"]):
+        code = main(["solve", *source])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2 and len(lines) == 1, (source, lines)
+        assert json.loads(lines[0])["error"]["type"] == "ParseError"
+
+
 def test_blocker_max_k_below_one_is_a_usage_error(capsys):
     for k in ("0", "-1"):
         code, report = run_cli(capsys, "blocker", "--graph6", C6, "--max-k", k)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from semitotal import (
     DominationKind,
+    SolveResult,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -289,6 +290,22 @@ def test_exists_within_zero_builds_no_search(monkeypatch):
             assert exists_within(g, kind, -1) is False
         with pytest.raises(Infeasible):
             exists_within(disjoint_union([path_graph(2), path_graph(2)]), kind, 0)
+
+
+def test_order_zero_graph_has_one_answer_per_route():
+    # the empty set dominates K0, so every route reports the value 0
+    k0 = Graph(0, ())
+    empty = SolveResult(DOM, 0, frozenset())
+    assert solve(k0, DOM) == solve_by_enumeration(k0, DOM) == empty
+    assert exists_within(k0, DOM, 0) is True
+    assert exists_within(k0, DOM, -1) is False
+    assert enumerate_min_sets(k0, DOM) == [frozenset()]
+    for kind in (TOT, SDS):
+        for route in (solve, solve_by_enumeration, enumerate_min_sets):
+            with pytest.raises(Infeasible):
+                route(k0, kind)
+        with pytest.raises(Infeasible):
+            exists_within(k0, kind, 0)
 
 
 def test_min_sds_spans_edge():

@@ -74,11 +74,12 @@ def test_normalize_edge():
 
 def test_distance_and_connectivity():
     p4 = path_graph(4)
-    assert _bfs_dist(p4.rows, p4.n, 0)[3] == 3
+    assert _bfs_dist(p4.rows, p4.n, 1 << 0)[3] == 3
+    assert _bfs_dist(p4.rows, p4.n, 1 << 0 | 1 << 3) == [0, 1, 1, 0]
     assert is_connected(p4)
     two = disjoint_union([path_graph(2), path_graph(3)])
     assert not is_connected(two)
-    assert _bfs_dist(two.rows, two.n, 0)[2] == math.inf
+    assert _bfs_dist(two.rows, two.n, 1 << 0)[2] == math.inf
     assert components(two) == [frozenset({0, 1}), frozenset({2, 3, 4})]
 
 
@@ -384,7 +385,7 @@ def _every_graph(max_n):
 def _unbroken_match(g, h, induced, within):
     """The plan's first match with its symmetry-breaking constraints left
     out: every ordered placement of h is tried."""
-    order, checks, reuse, _ = _pattern_plan(h, induced)
+    order, checks, reuse = _pattern_plan(h, induced)[:3]
     mask = g.full_mask() if within is None else sum(1 << v for v in within)
     hosts = embed((g.rows,), checks, reuse, ((),) * h.n, (mask,) * h.n)
     return None if hosts is None else dict(sorted(zip(order, hosts)))
@@ -406,7 +407,7 @@ def test_broken_plans_find_the_unbroken_first_match():
 
 
 def _plan_hosts(find, g, h, induced, mask):
-    _, *plan = _pattern_plan(h, induced)
+    plan = _pattern_plan(h, induced)[1:4]
     return find((g.rows,), *plan, (mask,) * h.n)
 
 
@@ -465,17 +466,53 @@ def test_plan_orbits_are_the_automorphism_group():
     # placement order, and each orbit is one step plus the later steps it bounds
     for h in _every_graph(6):
         for induced in (True, False):
-            _, _, _, above = _pattern_plan(h, induced)
+            above = _pattern_plan(h, induced)[3]
             product = math.prod(1 + sum(i in later for later in above) for i in range(h.n))
             assert product == oracles.brute_automorphism_count(h), (to_graph6(h), induced)
 
 
+# Frozen plans, (order, checks, reuse, above) per (pattern, induced) pair.
+# The digest was computed with the plan builder that confined its orbit
+# search to colour-refinement classes, by running this same loop on that code.
+PLAN_DIGEST = "b36069eba07eafcfc80548b5672d0bd1d310de331b7f24644c3c106ea52fe925"
+PLAN_PATTERNS = (
+    "P2", "P3", "2P2", "P4", "claw", "2P3", "P5", "P3+P2", "P4+P2", "P6",
+    "net", "longpaw", "6P2", "4K3", "12K1", "K12", "P3+4P2",
+)
+
+
+def test_plans_frozen():
+    digest = hashlib.sha256()
+    for h in [*_every_graph(7), *map(parse_pattern, PLAN_PATTERNS)]:
+        for induced in (True, False):
+            digest.update(json.dumps([to_graph6(h), induced, *_pattern_plan(h, induced)[:4]]).encode())
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+def _twin_blow_up(rng):
+    """A random graph on 2 to 7 vertices with each vertex blown up into a
+    block of true or false twins, 12 vertices in all, relabelled at random."""
+    k = rng.randint(2, 7)
+    base = {e for e in combinations(range(k), 2) if rng.random() < 0.5}
+    cuts = sorted(rng.sample(range(1, 12), k - 1))
+    block = [b for b, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, 12])) for _ in range(lo, hi)]
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    label = rng.sample(range(12), 12)
+    return Graph.from_edges(12, [
+        (label[x], label[y]) for x, y in combinations(range(12), 2)
+        if (clique[block[x]] if block[x] == block[y] else (block[x], block[y]) in base)
+    ])
+
+
 def test_dense_pattern_plans_build_quickly():
-    # each has a block of twins placed first; searched without the
-    # refinement classes, their orbits took 3 s to 42 s apiece
+    # each has blocks of twins.  Searched without the degree classes, the
+    # first five, which place such a block first, took 3 s to 42 s apiece,
+    # and the forty blow-ups 7.8 s together
+    rng = random.Random(29)
+    patterns = [random_connected(12, 0.1 + 0.003 * seed, seed) for seed in (253, 265, 270, 275, 277)]
+    patterns += [_twin_blow_up(rng) for _ in range(40)]
     started = time.monotonic()
-    for seed in (253, 265, 270, 275, 277):
-        h = random_connected(12, 0.1 + 0.003 * seed, seed)
+    for h in patterns:
         for induced in (True, False):
             _pattern_plan.__wrapped__(h, induced)
     assert time.monotonic() - started < 5

@@ -377,7 +377,7 @@ def paw_lower_bound_holds(out):
             return False
         for s in paw:
             covers_all = all(a == s or g.has_edge(a, s) for a in anchors)
-            dist = _bfs_dist(g.rows, g.n, s)
+            dist = _bfs_dist(g.rows, g.n, 1 << s)
             ball_inside = all(
                 dist[u] > 2 for u in range(g.n) if u != s and u not in pset
             )
