@@ -16,9 +16,10 @@ distance-2 ball are built on first use.
 A node with room for one more member below the best size takes its last
 member from the intersection of its uncovered vertices' candidate sets,
 without a call per child, and a child with no room is not visited: the
-records, and so the witness, are those of the full walk.  Nodes are
-counted per visit and per last-member step, and the node budget, the one
-limit of a search, is checked at every count.  The one lexicographic
+records, and so the witness, are those of the full walk.  The walk keeps
+its frames on an explicit stack, not the call stack, so no depth limit
+applies: nodes are counted at one site, each visit, and the node budget,
+the one limit of a search, is checked there.  The one lexicographic
 sweep, `feasible_sets`, lists the feasible sets of one size in
 `combinations` order, for callers that need every set or the first one
 carrying some structure.  It shares only the ball helpers `_balls` and
@@ -117,10 +118,6 @@ def is_feasible(g: Graph, kind: DominationKind, d) -> bool:
     return kind is not DominationKind.SEMITOTAL or all(_near(g.rows, v) & dmask for v in dset)
 
 
-class _Found(Exception):
-    pass
-
-
 def _checked_budget(budget) -> int:
     """A per-call node budget must be a non-negative int: NaN would compare
     false with every node count and switch the budget off."""
@@ -167,10 +164,13 @@ class _Search:
     every uncovered vertex, so `_last` takes them from the intersection of
     those candidate sets, in ascending id, and records the first that
     passes the leaf check: the sets its children would record, in their
-    order.  With no room, the child is not visited at all.  `nodes` counts
-    the calls of `run` and the children handed to `_last`, not the skipped
-    ones.  Every count is checked against the budget, which arrives
-    checked, as `_check_solvable` returns it."""
+    order.  With no room, the child is not visited at all.
+
+    `run` walks the tree on `stack`, a list of frames, so no recursion
+    limit applies.  `_visit` is the one place a node is counted and the
+    count checked against the budget, which arrives checked, as
+    `_check_solvable` returns it.  Under `stop_at`, the first record
+    clears the stack and so ends the walk."""
 
     def __init__(self, g: Graph, kind: DominationKind, budget, stop_at):
         n = g.n
@@ -194,6 +194,7 @@ class _Search:
         self.all = (1 << n) - 1
         self.best = n + 1 if stop_at is None else stop_at + 1
         self.best_mask = 0
+        self.stack = []  # the frames of the walk still to finish
 
     def _covers(self, c: int) -> int:
         rank_bit = self.rank_bit
@@ -245,18 +246,43 @@ class _Search:
         self.best = dmask.bit_count()
         self.best_mask = dmask
 
-    def run(self, dmask: int, cover: int, banned: int, size: int):
+    def run(self):
+        """Walk the tree depth first from the root on an explicit stack of
+        frames (dmask, cover, banned, child size, candidates left): take a
+        frame's lowest candidate, put the rest back with it banned, and
+        visit the child unless it has no room and its cover is not full."""
+        full = self.all
+        covers = self.covers
+        visit = self._visit
+        stack = self.stack
+        frame = visit(0, 0, 0, 0)
+        if frame:
+            stack.append(frame)
+        while stack:
+            dmask, cover, banned, size, cands = stack.pop()
+            low = cands & -cands
+            if cands ^ low:
+                stack.append((dmask, cover, banned | low, size, cands ^ low))
+            c = low.bit_length() - 1
+            child = cover | (covers[c] or self._covers(c))
+            if child == full or self.best - size >= 2:
+                frame = visit(dmask | low, child, banned, size)
+                if frame:
+                    stack.append(frame)
+
+    def _visit(self, dmask: int, cover: int, banned: int, size: int):
+        """Count the node, bound it and record it, and return its frame, or
+        None when it has no child to try."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise ScaleLimit(f"search exceeded {self.budget} nodes")
-        full = self.all
-        uncovered = full & ~cover
+        uncovered = self.all & ~cover
         if uncovered:
             limit = self.best - size
             if limit <= 2:
-                if limit == 2:  # only the root gets here: children go to _last directly
+                if limit == 2:
                     self._last(dmask, uncovered, banned, size)
-                return
+                return None
             # packing: pack the lowest uncovered rank left, then drop every
             # rank whose ball meets its ball
             ball_by_rank = self.ball_by_rank
@@ -270,16 +296,16 @@ class _Search:
                 r = low.bit_length() - 1
                 b = ball_by_rank[r] & free
                 if not b:
-                    return  # some vertex can no longer be dominated
+                    return None  # some vertex can no longer be dominated
                 packed.append(b)
                 if len(packed) >= limit:
-                    return
+                    return None
                 heads |= low
                 rest &= ~(reach[r] or self._reach(r))
             cands = packed[0]
             if len(packed) == limit - 1:
                 if not self._one_short(packed, uncovered & ~heads):
-                    return
+                    return None
                 # a completion with two members of the first set cannot
                 # record, so the members the filter dropped are banned here
                 banned |= cands ^ packed[0]
@@ -288,29 +314,14 @@ class _Search:
             near = self._lonely(dmask)
             if not near:
                 self._record(dmask, size)
-                return
-            if size + 1 >= self.best:
-                return
+                return None
             cands = near & ~dmask & ~banned
+            if not cands or size + 1 >= self.best:
+                return None
         else:
             self._record(dmask, size)
-            return
-        covers = self.covers
-        size += 1
-        while cands:
-            low = cands & -cands
-            c = low.bit_length() - 1
-            child = cover | (covers[c] or self._covers(c))
-            room = self.best - size
-            if child == full or room > 2:
-                self.run(dmask | low, child, banned, size)
-            elif room == 2:
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise ScaleLimit(f"search exceeded {self.budget} nodes")
-                self._last(dmask | low, full & ~child, banned, size)
-            banned |= low
-            cands ^= low
+            return None
+        return dmask, cover, banned, size + 1, cands
 
     def _one_short(self, packed: list, pending: int) -> bool:
         """Filter the packed candidate sets of a node one short, in place,
@@ -375,7 +386,7 @@ class _Search:
             self.best = size
             self.best_mask = dmask
             if self.stop_at is not None:
-                raise _Found
+                self.stack.clear()  # a decision ends at its first record
 
 
 def _check_solvable(g: Graph, kind: DominationKind, budget=None) -> int:
@@ -387,15 +398,6 @@ def _check_solvable(g: Graph, kind: DominationKind, budget=None) -> int:
     if not is_connected(g):
         raise Infeasible("solver requires a connected graph")
     return search_budget() if budget is None else _checked_budget(budget)
-
-
-def _walk(search: _Search) -> None:
-    """Run the search from the root.  `run` takes one frame per chosen
-    member, so a deep walk is refused with ScaleLimit, not RecursionError."""
-    try:
-        search.run(0, 0, 0, 0)
-    except RecursionError:
-        raise ScaleLimit(f"search deeper than the recursion limit {sys.getrecursionlimit()}") from None
 
 
 # the results `solve` stored in the innermost open `solved_once` block
@@ -418,10 +420,9 @@ def solve(g: Graph, kind: DominationKind, *, budget: int | None = None) -> Solve
     """Minimum (semi)total/plain dominating set via branch-and-bound.
 
     `budget` caps the nodes (default search_budget()), the search's only
-    limit, so whether a search stops does not depend on the machine.
-    InvalidSetting for a budget that is not a non-negative int; ScaleLimit
-    past it, or when the walk, one frame per chosen member, would pass the
-    recursion limit.
+    limit, however deep its walk, so whether a search stops does not
+    depend on the machine.  InvalidSetting for a budget that is not a
+    non-negative int; ScaleLimit past it.
 
     Inside a `solved_once` block, a call without a budget returns the
     result stored for the same rows and kind, the very object the first
@@ -436,7 +437,7 @@ def solve(g: Graph, kind: DominationKind, *, budget: int | None = None) -> Solve
             return stored
     search = _Search(g, kind, _check_solvable(g, kind, budget), stop_at=None)
     search.greedy()
-    _walk(search)
+    search.run()
     result = SolveResult(kind, search.best, frozenset(_bits(search.best_mask)), search.nodes)
     if memo is not None:
         memo[key] = result
@@ -447,16 +448,13 @@ def exists_within(g: Graph, kind: DominationKind, k: int, *, budget: int | None 
     """Decision variant: is there a feasible set of size at most k?  The
     budget is that of `solve`, checked the same way.  The search starts
     from best = k + 1, without the greedy seed, so its first record has
-    size at most k and ends it; a walk that returns recorded nothing."""
+    size at most k and ends the walk."""
     cap = _check_solvable(g, kind, budget)
     if k <= 0:  # no set is smaller than the empty one, which dominates only K0
         return k == 0 == g.n
     search = _Search(g, kind, cap, stop_at=k)
-    try:
-        _walk(search)
-    except _Found:
-        return True
-    return False
+    search.run()
+    return search.best <= k
 
 
 def feasible_sets(g: Graph, kind: DominationKind, k: int):

@@ -7,12 +7,14 @@ only to feed inputs to the code under test, and `brute_canonical` returns
 one only so its answer compares with the labeller's.  There are four
 exceptions, each a copy of an engine as it was before a change that must
 not alter its answers.  `ParentSearch` is the branch-and-bound walk before
-the last-member step and the reach packing: it reuses the search's set-up
-and replaces only `run`, so that the tests can hold the new walk and bounds
-to the old ones, record by record.  `parent_embed` is the matcher before
-forward checking, which filtered only the current step's domain; it takes
-the same plans as `graphs.embed`, so the tests can hold the two to the
-same first match.  `parent_connected_graphs` is the enumeration before
+the last-member step, the reach packing and the explicit stack: it reuses
+the search's set-up and replaces `run` with the recursive walk and
+`_record` with one that ends a decision by raising, so that the tests can
+hold the new walk and bounds to the old ones, record by record.
+`parent_embed` is the matcher before forward checking, which filtered
+only the current step's domain; it takes the same plans as
+`graphs.embed`, so the tests can hold the two to the same first match.
+`parent_connected_graphs` is the enumeration before
 twin-orbit pruning, which tried every attachment mask of every parent.
 `parent_canonical_form` is the labeller before it kept the unplaced
 vertices as sorted cells of equal code: it rebuilds a {vertex: code} dict
@@ -22,7 +24,7 @@ for every child and takes the least code with `min`.
 from itertools import combinations, permutations
 
 from semitotal import Graph
-from semitotal.domination import _Found, _Search, search_budget
+from semitotal.domination import _Search, search_budget
 from semitotal.errors import ScaleLimit
 from semitotal.graphs import _bits, _reach, to_graph6
 from semitotal.smallgraphs import _twins, canonical_form, connected_graphs
@@ -237,12 +239,24 @@ def g6_decode(text):
     return n, edges
 
 
+class _Found(Exception):
+    pass
+
+
 class ParentSearch(_Search):
     """The walk before the last-member step: every child is a call, and
     every node runs the packing bound, whatever room it has left.  It keeps
     the free-aware packing walk, the reference the later bounds are held
     to: every uncovered vertex in rank order, packed when its free
-    candidates miss those of the vertices packed before it."""
+    candidates miss those of the vertices packed before it.  A decision
+    stops at its first record by raising `_Found` out of the recursion."""
+
+    def _record(self, dmask, size):
+        if size < self.best:
+            self.best = size
+            self.best_mask = dmask
+            if self.stop_at is not None:
+                raise _Found
 
     def run(self, dmask, cover, banned, size):
         self.nodes += 1

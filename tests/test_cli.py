@@ -252,14 +252,16 @@ def test_scale_limit_exits_4(capsys):
 
 
 def test_deep_search_exits_4(capsys, monkeypatch):
-    # a search deeper than the recursion limit once ended in a traceback
+    # a search deeper than the recursion limit once ended in a traceback;
+    # now the node budget is what stops it
     n = 3000
     text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
-    monkeypatch.setenv("SEMITOTAL_BUDGET", "200000")
+    monkeypatch.setenv("SEMITOTAL_BUDGET", "1000")
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, report = run_cli(capsys, "solve", "--stdin", "--kind", "semitotal")
     assert code == 4
     assert report["error"]["type"] == "ScaleLimit"
+    assert "exceeded 1000 nodes" in report["error"]["message"]
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -65,13 +66,30 @@ def test_paths_and_cycles_meet_their_closed_forms():
             assert solve(g, SDS).value == -(-2 * n // 5), (g.n, g.m)
 
 
-def test_deep_walks_raise_scale_limit():
-    # `run` takes one frame per chosen member, and the first walk down P2000
-    # chooses members far past the recursion limit
-    with pytest.raises(ScaleLimit, match="recursion limit"):
-        solve(path_graph(2000), SDS)
-    with pytest.raises(ScaleLimit, match="recursion limit"):
-        exists_within(path_graph(2000), SDS, 1500)
+def comb_graph(m):
+    """P_m with a pendant leaf on each vertex: the spine is a minimum set of
+    every kind, so a search chooses about m members on its way down."""
+    return Graph.from_edges(2 * m, [(v, v + 1) for v in range(m - 1)] + [(v, m + v) for v in range(m)])
+
+
+def test_walks_past_the_recursion_limit_answer():
+    # the walk keeps its frames on a list, not the call stack, so a walk
+    # hundreds of members deep runs under a recursion limit far below that
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        for kind in KINDS:
+            assert exists_within(comb_graph(300), kind, 300), kind
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_walks_stop_at_the_node_budget():
+    # the node budget is the search's one limit, however deep the walk
+    with pytest.raises(ScaleLimit, match="exceeded 1000 nodes"):
+        solve(path_graph(2000), SDS, budget=1000)
+    with pytest.raises(ScaleLimit, match="exceeded 1000 nodes"):
+        exists_within(path_graph(2000), SDS, 1500, budget=1000)
 
 
 def test_witness_reachability_floor():
@@ -154,7 +172,7 @@ def test_exists_within_consistent_with_solve():
 ])
 def test_plain_and_total_record_a_full_cover(n, seed, kind, greedy, value):
     # a node whose cover is full reaches the plain/total record branch of
-    # `_Search.run` only two or more below the bound; one below, `_last`
+    # `_Search._visit` only two or more below the bound; one below, `_last`
     # records it.  So greedy must overshoot the optimum by two.
     g = random_connected(n, 0.2, seed)
     search = domination._Search(g, kind, search_budget(), None)
@@ -402,10 +420,11 @@ def test_solve_reports_its_node_count():
 
 
 def test_every_budget_below_the_count_stops_the_search():
-    # nodes are counted at each call of `run` and at each child handed to
-    # `_last`, and the budget is checked at both, so each budget below the
-    # count stops the search and the count itself does not.  Between them,
-    # these order-16 graphs hand children to `_last` in every kind
+    # nodes are counted at one site, each call of `_visit`, children handed
+    # to `_last` among them, and the budget is checked there, so each budget
+    # below the count stops the search and the count itself does not.
+    # Between them, these order-16 graphs hand children to `_last` in every
+    # kind
     for seed in (10, 14, 19):
         g = random_connected(16, 0.2, seed)
         for kind in KINDS:
@@ -422,7 +441,7 @@ def test_refutation_stops_at_its_node_count():
     for kind in KINDS:
         value = solve(DEEP, kind).value
         search = domination._Search(DEEP, kind, DEFAULT_BUDGET, value - 1)
-        domination._walk(search)
+        search.run()
         assert not exists_within(DEEP, kind, value - 1, budget=search.nodes)
         with pytest.raises(ScaleLimit):
             exists_within(DEEP, kind, value - 1, budget=search.nodes - 1)
@@ -505,7 +524,7 @@ def test_one_short_filter_visits_no_more_nodes():
 
 
 def _search_runs(monkeypatch) -> list:
-    """Record every call of the search's `run`, the root's and the children's."""
+    """Record every call of the search's `run`, one per search."""
     runs = []
     real_run = domination._Search.run
 

@@ -73,6 +73,19 @@ def test_one_environment_setting():
     assert set(_env_reads()) == {("domination.search_budget", "SEMITOTAL_BUDGET")}
 
 
+def test_no_recursion_limit_in_the_package():
+    # the search walks on an explicit stack, so the node budget is its one
+    # limit; a module that catches RecursionError or moves the recursion
+    # limit would bring a second one back
+    named = [
+        f"{path.stem}.{name}"
+        for path in sorted(Path(semitotal.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (name := node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None))
+        in {"RecursionError", "setrecursionlimit"}
+    ]
+    assert not named
+
 
 def _traced_names():
     """The (module, attribute) keys of perfbench's TRACED table, read from
